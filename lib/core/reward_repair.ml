@@ -104,10 +104,13 @@ let validate_constraints m constraints =
               c.worse))
     constraints
 
-let q_gap ~gamma m theta c =
-  let m' = Irl.apply_reward m theta in
-  let q = Value.q_values ~gamma m' in
-  List.assoc c.better q.(c.state) -. List.assoc c.worse q.(c.state)
+(* Q(better) − Q(worse) under θ: one kernel solve with the state rewards
+   θᵀf, then only the two Q entries the constraint reads. *)
+let q_gap ~gamma m kern theta c =
+  let rewards = Irl.reward_vector m theta in
+  let v = Value.solve ~gamma kern ~rewards in
+  Value.q_slot ~gamma kern ~rewards v c.state (Value.slot kern c.state c.better)
+  -. Value.q_slot ~gamma kern ~rewards v c.state (Value.slot kern c.state c.worse)
 
 let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
     ~theta ~constraints =
@@ -118,8 +121,10 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
   let k = Array.length theta in
   if k <> Mdp.feature_dim m then
     invalid_arg "Reward_repair.repair_q: theta dimension mismatch";
+  let kern = Value.compile m in
+  let q_gap = q_gap ~gamma m kern in
   let satisfied th =
-    List.for_all (fun c -> q_gap ~gamma m th c >= c.margin) constraints
+    List.for_all (fun c -> q_gap th c >= c.margin) constraints
   in
   if satisfied theta && not force then Already_satisfied
   else begin
@@ -132,7 +137,7 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
       List.mapi
         (fun i c ->
            ( Printf.sprintf "q_constraint_%d" i,
-             fun dx -> c.margin +. interior -. q_gap ~gamma m (theta_plus dx) c ))
+             fun dx -> c.margin +. interior -. q_gap (theta_plus dx) c ))
         constraints
     in
     let problem =
@@ -150,7 +155,7 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
       let theta' = theta_plus delta in
       let m' = Irl.apply_reward m theta' in
       let policy, _ = Value.optimal_policy ~gamma m' in
-      let q_gaps = List.map (fun c -> (c, q_gap ~gamma m theta' c)) constraints in
+      let q_gaps = List.map (fun c -> (c, q_gap theta' c)) constraints in
       Repaired
         {
           theta = theta';

@@ -18,11 +18,51 @@ type t = {
   vars : string array;
   num : instr array;
   den : instr array option; (* None: denominator is the constant 1 *)
-  stack : float array; (* scratch, sized to max program depth *)
-  values : float array; (* scratch for eval_env / eval_grad *)
-  ilo : float array; (* scratch lower-bound stack for eval_interval *)
-  ihi : float array; (* scratch upper-bound stack for eval_interval *)
+  depth : int; (* max program depth: the scratch stack size *)
 }
+
+(* Evaluation scratch lives with the domain, not the program, so one
+   compiled program may be evaluated from several domains at once (the
+   NLP's concurrent starts and speculative rungs share their constraint
+   closures).  Systhreads of one domain share its scratch, and one may be
+   preempted mid-evaluation: [busy] marks the scratch taken, and a caller
+   that finds it taken evaluates on a fresh one.  [claim] tests and sets
+   [busy] with no allocation or poll point in between, so no thread
+   switch can split the two. *)
+type scratch = {
+  mutable busy : bool;
+  mutable stack : float array;
+  mutable values : float array; (* parameter vector for eval_env *)
+  mutable ilo : float array; (* lower-bound stack for eval_interval *)
+  mutable ihi : float array; (* upper-bound stack for eval_interval *)
+}
+
+let fresh_scratch depth nvars =
+  {
+    busy = true;
+    stack = Array.make depth 0.0;
+    values = Array.make nvars 0.0;
+    ilo = Array.make depth 0.0;
+    ihi = Array.make depth 0.0;
+  }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { (fresh_scratch 16 16) with busy = false })
+
+let[@inline] claim t =
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then fresh_scratch t.depth (Array.length t.vars)
+  else begin
+    s.busy <- true;
+    if Array.length s.stack < t.depth then begin
+      s.stack <- Array.make t.depth 0.0;
+      s.ilo <- Array.make t.depth 0.0;
+      s.ihi <- Array.make t.depth 0.0
+    end;
+    if Array.length s.values < Array.length t.vars then
+      s.values <- Array.make (Array.length t.vars) 0.0;
+    s
+  end
 
 let vars t = t.vars
 
@@ -88,15 +128,7 @@ let compile ~vars f =
     Stdlib.max (max_depth num)
       (match den with None -> 0 | Some d -> max_depth d)
   in
-  {
-    vars;
-    num;
-    den;
-    stack = Array.make (Stdlib.max 1 depth) 0.0;
-    values = Array.make (Array.length vars) 0.0;
-    ilo = Array.make (Stdlib.max 1 depth) 0.0;
-    ihi = Array.make (Stdlib.max 1 depth) 0.0;
-  }
+  { vars; num; den; depth = Stdlib.max 1 depth }
 
 let run prog (x : float array) (stack : float array) =
   let sp = ref 0 in
@@ -117,13 +149,34 @@ let run prog (x : float array) (stack : float array) =
   done;
   Array.unsafe_get stack 0
 
-let eval t x =
-  let n = run t.num x t.stack in
-  match t.den with None -> n | Some d -> n /. run d x t.stack
+let[@inline] eval_on s t x =
+  let n = run t.num x s.stack in
+  match t.den with None -> n | Some d -> n /. run d x s.stack
 
+let eval t x =
+  let s = claim t in
+  let r = eval_on s t x in
+  s.busy <- false;
+  r
+
+(* [env] may itself evaluate arenas: it then finds this domain's scratch
+   busy and takes a fresh one, so filling [values] here is safe.  If it
+   raises, the scratch is released before the exception propagates. *)
 let eval_env t env =
-  Array.iteri (fun i v -> t.values.(i) <- env v) t.vars;
-  eval t t.values
+  let s = claim t in
+  let values = s.values in
+  match
+    for i = 0 to Array.length t.vars - 1 do
+      Array.unsafe_set values i (env (Array.unsafe_get t.vars i))
+    done
+  with
+  | () ->
+    let r = eval_on s t values in
+    s.busy <- false;
+    r
+  | exception e ->
+    s.busy <- false;
+    raise e
 
 (* ------------------------- interval semantics ------------------------- *)
 
@@ -169,26 +222,33 @@ let run_interval prog (xl : float array) (xh : float array) (sl : float array)
   (sl.(0), sh.(0))
 
 let eval_interval t lo hi =
-  let nl, nh = run_interval t.num lo hi t.ilo t.ihi in
-  match t.den with
-  | None -> (nl, nh)
-  | Some d ->
-    let dl, dh = run_interval d lo hi t.ilo t.ihi in
-    if dl <= 0.0 && dh >= 0.0 then (neg_infinity, infinity)
-    else imul nl nh (1.0 /. dh) (1.0 /. dl)
+  let s = claim t in
+  let nl, nh = run_interval t.num lo hi s.ilo s.ihi in
+  let r =
+    match t.den with
+    | None -> (nl, nh)
+    | Some d ->
+      let dl, dh = run_interval d lo hi s.ilo s.ihi in
+      if dl <= 0.0 && dh >= 0.0 then (neg_infinity, infinity)
+      else imul nl nh (1.0 /. dh) (1.0 /. dl)
+  in
+  s.busy <- false;
+  r
 
 let eval_grad ?(h = 1e-6) t x =
-  let v = eval t x in
+  let s = claim t in
+  let v = eval_on s t x in
   let n = Array.length t.vars in
   let y = Array.sub x 0 (Array.length x) in
   let g =
     Array.init n (fun i ->
         let xi = y.(i) in
         y.(i) <- xi +. h;
-        let hi = eval t y in
+        let hi = eval_on s t y in
         y.(i) <- xi -. h;
-        let lo = eval t y in
+        let lo = eval_on s t y in
         y.(i) <- xi;
         (hi -. lo) /. (2.0 *. h))
   in
+  s.busy <- false;
   (v, g)

@@ -7,9 +7,9 @@
     compiled form thousands of times with parameter vectors indexed by
     position, not by name.
 
-    A compiled arena carries mutable scratch buffers, so a single [t] must
-    not be evaluated concurrently from several domains — compile one per
-    domain instead (same contract as {!Poly.compile}). *)
+    A compiled arena is immutable: evaluation scratch is per domain (and
+    per in-flight call), so one [t] may be evaluated concurrently from
+    several domains and threads. *)
 
 type t
 
@@ -35,8 +35,7 @@ val eval_interval : t -> float array -> float array -> float * float
     whole box — every point value lies in [\[l, u\]].  Division by a
     denominator interval containing zero (a potential pole inside the box)
     widens to [(neg_infinity, infinity)] rather than raising; NaN inputs
-    are treated as the whole real line.  Uses dedicated scratch stacks, so
-    the same single-domain contract as {!eval} applies. *)
+    are treated as the whole real line. *)
 
 val eval_grad : ?h:float -> t -> float array -> float * float array
 (** Value and central-difference gradient at a point, sharing the compiled

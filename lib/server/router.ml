@@ -18,11 +18,14 @@ type t = {
      only ones [sweep] must look at, so a sweep per request costs a nil
      check rather than a walk of the whole settled history *)
   mutable live : entry list;
-  (* memo of wire payload -> decoded job: resubmits of an identical
-     request (retries, fan-in clients) skip the textual model parse and
-     the digest hash — the dominant per-request cost once the job itself
-     is deduplicated *)
-  decode_memo : (Wire.job_request, Job.t * string) Hashtbl.t;
+  (* memo of wire payload -> (job kind, digest): resubmits of an
+     identical request (retries, fan-in clients) skip the textual model
+     parse and the digest hash — the dominant per-request cost once the
+     job itself is deduplicated.  It holds no decoded job (a parsed Data
+     Repair or Pipeline job is hundreds of KB): a hit is answered from
+     the job table, and only a hit whose digest is missing there (a
+     submit the runtime shed, now retried) decodes again. *)
+  decode_memo : (Wire.job_request, string * string) Hashtbl.t;
   (* replicated reports pushed by a fleet coordinator (Put_report): a
      bounded FIFO of digest -> rendered report, servable by poll/wait
      even though this node never ran the job *)
@@ -198,19 +201,36 @@ let not_a_coordinator () =
 
 let decode_memo_cap = 512
 
+let decode_counter =
+  Metrics.counter "tml_server_job_decodes_total"
+    ~help:"Submitted job payloads parsed (submits not answered by the decode memo)"
+
 let decode_job t jr =
-  match locked t (fun () -> Hashtbl.find_opt t.decode_memo jr) with
-  | Some (job, digest) -> Ok (job, digest)
-  | None -> (
-      match Wire.job_of_request jr with
-      | exception e -> Error e
-      | job ->
-        let digest = Job.digest job in
-        locked t (fun () ->
-            if Hashtbl.length t.decode_memo >= decode_memo_cap then
-              Hashtbl.reset t.decode_memo;
-            Hashtbl.replace t.decode_memo jr (job, digest));
-        Ok (job, digest))
+  Metrics.incr decode_counter;
+  match Wire.job_of_request jr with
+  | exception e -> Error e
+  | job ->
+    let digest = Job.digest job in
+    locked t (fun () ->
+        if Hashtbl.length t.decode_memo >= decode_memo_cap then
+          Hashtbl.reset t.decode_memo;
+        Hashtbl.replace t.decode_memo jr (Job.kind job, digest));
+    Ok (job, digest)
+
+(* The answer to a submit of a digest this node already knows, if any. *)
+let known_submit t digest =
+  match find_replica t digest with
+  | Some _ ->
+    (* a coordinator replicated this digest's finished report to us — no
+       need to recompute *)
+    Some (Wire.Accepted { job = digest; cached = true })
+  | None ->
+    match find t digest with
+    | Some e ->
+      (* duplicate submit: the first ticket is still tracking this job,
+         so the new one is returned immediately *)
+      Some (Wire.Accepted { job = digest; cached = not (Future.is_pending e.fut) })
+    | None -> None
 
 let do_submit t ~client jr =
   if t.draining then
@@ -226,42 +246,45 @@ let do_submit t ~client jr =
       Wire.Error_reply (Wire.err_of_exn (Admission.overloaded_error v))
     | Admission.Admitted -> (
         let release () = Admission.release t.admission ~client in
-        match decode_job t jr with
-        | Error e ->
+        let memo_hit =
+          match locked t (fun () -> Hashtbl.find_opt t.decode_memo jr) with
+          | None -> None
+          | Some (kind, digest) ->
+            Option.map (fun resp -> (kind, resp)) (known_submit t digest)
+        in
+        match memo_hit with
+        | Some (kind, resp) ->
+          Metrics.incr (kind_counter kind);
           release ();
-          Wire.Error_reply (Wire.err_of_exn e)
-        | Ok (job, digest) -> (
-            Metrics.incr (kind_counter (Job.kind job));
-            match find_replica t digest with
-            | Some _ ->
-              (* a coordinator replicated this digest's finished report to
-                 us — no need to recompute *)
+          resp
+        | None -> (
+            match decode_job t jr with
+            | Error e ->
               release ();
-              Wire.Accepted { job = digest; cached = true }
-            | None ->
-            match find t digest with
-            | Some e ->
-              (* duplicate submit: the first ticket is still tracking this
-                 job, so the new one is returned immediately *)
-              release ();
-              Wire.Accepted { job = digest; cached = not (Future.is_pending e.fut) }
-            | None -> (
-                let fut =
-                  Runtime.submit t.runtime ?timeout_s:t.job_timeout_s
-                    ?retry:t.retry job
-                in
-                match Future.peek fut with
-                | Some (Future.Failed (Tml_error.Error (Tml_error.Overloaded _) as e)) ->
-                  (* the runtime's own bounded queue shed it *)
+              Wire.Error_reply (Wire.err_of_exn e)
+            | Ok (job, digest) -> (
+                Metrics.incr (kind_counter (Job.kind job));
+                match known_submit t digest with
+                | Some resp ->
                   release ();
-                  Wire.Error_reply (Wire.err_of_exn e)
-                | peeked ->
-                  locked t (fun () ->
-                      let e = { fut; client; released = false; report = None } in
-                      Hashtbl.replace t.jobs digest e;
-                      t.live <- e :: t.live);
-                  Wire.Accepted
-                    { job = digest; cached = peeked <> None })))
+                  resp
+                | None -> (
+                    let fut =
+                      Runtime.submit t.runtime ?timeout_s:t.job_timeout_s
+                        ?retry:t.retry job
+                    in
+                    match Future.peek fut with
+                    | Some (Future.Failed (Tml_error.Error (Tml_error.Overloaded _) as e)) ->
+                      (* the runtime's own bounded queue shed it *)
+                      release ();
+                      Wire.Error_reply (Wire.err_of_exn e)
+                    | peeked ->
+                      locked t (fun () ->
+                          let e = { fut; client; released = false; report = None } in
+                          Hashtbl.replace t.jobs digest e;
+                          t.live <- e :: t.live);
+                      Wire.Accepted
+                        { job = digest; cached = peeked <> None }))))
 
 let do_status t digest =
   match find t digest with

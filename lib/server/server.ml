@@ -614,10 +614,16 @@ let run_loop t loop () =
     else begin
       let timeout_ms = if loop.stopping then min 20 t.tick_ms else t.tick_ms in
       let events = Poll.wait loop.poll ~timeout_ms in
+      (* drain the wake pipe before taking the mailbox: a message posted
+         after the take writes a fresh wake byte that this drain can no
+         longer swallow, so it wakes the next poll instead of waiting a
+         whole tick *)
+      if List.exists (fun (ev : Poll.event) -> ev.fd = loop.wake_r) events then
+        drain_wake loop;
       process_mailbox t loop;
       List.iter
         (fun (ev : Poll.event) ->
-          if ev.fd = loop.wake_r then drain_wake loop
+          if ev.fd = loop.wake_r then ()
           else
             match loop.listen with
             | Some lfd when ev.fd = lfd ->

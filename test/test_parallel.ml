@@ -1,9 +1,11 @@
 (* Differential tests for the multicore symbolic kernel: the parallel
    elimination and the parallel NLP multistart must be byte-identical to
    their sequential reference paths (on the WSN grids n=2..4 and the
-   lane-change chain), an injected worker crash mid-batch must be
-   retried — not wedge the batch — and nested subtask submission must
-   complete on a 1-worker pool. *)
+   lane-change chain, and on whole Model, Data and Reward Repairs whose
+   concurrent starts share one compiled constraint or Bellman kernel),
+   an injected worker crash mid-batch must be retried — not wedge the
+   batch — and nested subtask submission must complete on a 1-worker
+   pool. *)
 
 (* ------------------------------ harness ------------------------------- *)
 
@@ -171,6 +173,49 @@ let test_fallback_identical () =
          reference pooled)
     [ ("feasible", feasible_problem ()); ("infeasible", infeasible_problem ()) ]
 
+(* Arena-backed problems: every start and every speculative rung of one
+   solve evaluates the same compiled constraint.  A scratch buffer shared
+   between domains shows up as a different outcome (a penalty-rung
+   answer, an unverified repair, a spurious Infeasible), so each check
+   repeats the pooled solve [repeats] times to give the interleaving a
+   chance to bite: cheap solves get more repeats. *)
+let check_pooled_identical ~repeats name solve =
+  let reference = solve () in
+  with_pool ~workers:2 (fun _ ->
+      for i = 1 to repeats do
+        check_outcome_identical
+          (Printf.sprintf "%s pooled=sequential (run %d)" name i)
+          reference (solve ())
+      done)
+
+let test_model_repair_identical () =
+  let p = Wsn.default_params in
+  List.iter
+    (fun fallback ->
+       check_pooled_identical ~repeats:10
+         (Printf.sprintf "wsn n=3 model repair fallback=%b" fallback)
+         (fun () ->
+            Model_repair.repair ~starts:4 ~fallback (Wsn.chain p)
+              (Wsn.property 40) (Wsn.repair_spec p)))
+    [ false; true ]
+
+let test_data_repair_identical () =
+  let p = Wsn.default_params in
+  let groups = Wsn.observation_groups (Prng.create 42) p ~count:600 in
+  let rewards = Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one) in
+  let sp = Data_repair.spec ~pinned:[ "success" ] groups in
+  check_pooled_identical ~repeats:40 "wsn data repair" (fun () ->
+      Data_repair.repair ~n:9 ~init:8
+        ~labels:[ ("delivered", [ 0 ]) ]
+        ~rewards ~starts:4 (Wsn.property 19) sp)
+
+let test_reward_repair_identical () =
+  let m = Car.mdp () in
+  check_pooled_identical ~repeats:4 "car reward repair" (fun () ->
+      Reward_repair.repair_q ~gamma:0.9 ~starts:4 m
+        ~theta:Car.paper_learned_theta
+        ~constraints:[ Car.unsafe_q_constraint ])
+
 (* ------------------------------- chaos -------------------------------- *)
 
 (* A [Fault.Subtask] raise kills the first pool worker that probes the
@@ -268,6 +313,10 @@ let () =
       ( "nlp differential",
         [ Alcotest.test_case "multistart" `Quick test_multistart_identical;
           Alcotest.test_case "fallback ladder" `Quick test_fallback_identical;
+          Alcotest.test_case "wsn model repair" `Quick test_model_repair_identical;
+          Alcotest.test_case "wsn data repair" `Quick test_data_repair_identical;
+          Alcotest.test_case "car reward repair" `Quick
+            test_reward_repair_identical;
         ] );
       ( "chaos",
         [ Alcotest.test_case "subtask crash retried" `Quick

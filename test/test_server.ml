@@ -26,14 +26,14 @@ let check_req b =
   Wire.Check_req
     { model = model_text; phi = Printf.sprintf "P>=%g [ F goal ]" b }
 
-(* A tiny server over a fresh runtime; read timeout kept short so conn
-   threads notice a drain quickly. *)
-let with_server ?admission ?(workers = 2) f =
+(* A tiny server over a fresh runtime; read timeout kept short by
+   default so conn threads notice a drain quickly. *)
+let with_server ?admission ?(workers = 2) ?(read_timeout_s = 0.25) f =
   Runtime.with_runtime ~workers @@ fun rt ->
   let router = Router.create ?admission rt in
   let path = fresh_sock () in
   let server =
-    Server.start ~read_timeout_s:0.25 ~write_timeout_s:2.0
+    Server.start ~read_timeout_s ~write_timeout_s:2.0
       ~drain_timeout_s:10.0 ~handler:(Server.handler_of_router router) (`Unix path)
   in
   Fun.protect
@@ -750,6 +750,138 @@ let test_live_pipelining () =
    | _ -> Alcotest.fail "replies must arrive in request order");
   ()
 
+(* ----------------------------- router memo ---------------------------- *)
+
+let job_decodes =
+  (* same name → same registered counter as the router's *)
+  Metrics.counter "tml_server_job_decodes_total"
+
+let router_submit router jr =
+  match Router.handle router ~client:1 (Wire.Submit jr) with
+  | Wire.Accepted { job; cached } -> `Accepted (job, cached)
+  | Wire.Error_reply e -> `Error e.Wire.kind
+  | _ -> Alcotest.fail "submit answers Accepted or an error"
+
+let router_wait router digest =
+  match Router.handle router ~client:1 (Wire.Wait (digest, Some 30.0)) with
+  | Wire.Status { state; _ } -> state
+  | _ -> Alcotest.fail "wait answers a Status"
+
+let expect_accepted what = function
+  | `Accepted (job, cached) -> (job, cached)
+  | `Error kind -> Alcotest.failf "%s: rejected with %s" what kind
+
+(* The runtime's queue (capacity 1, one busy worker) sheds the third
+   submit after the router has decoded it and memoised its digest.  The
+   retry is a memo hit whose digest is not in the job table: it must be
+   decoded again and run, not answered with a digest nobody computes. *)
+let test_memo_shed_retry_runs () =
+  with_delay_faults ~fires:2 ~delay:0.3 @@ fun () ->
+  Runtime.with_runtime ~workers:1 ~queue_capacity:1 @@ fun rt ->
+  let router = Router.create rt in
+  let running, _ = expect_accepted "first" (router_submit router (check_req 0.41)) in
+  Unix.sleepf 0.1 (* the worker takes the first job off the queue *);
+  let queued, _ = expect_accepted "second" (router_submit router (check_req 0.42)) in
+  (match router_submit router (check_req 0.43) with
+   | `Error kind -> Alcotest.(check string) "third is shed" "overloaded" kind
+   | `Accepted _ -> Alcotest.fail "a full runtime queue must shed the third submit");
+  List.iter (fun d -> ignore (router_wait router d : Wire.job_state)) [ running; queued ];
+  let decodes0 = Metrics.counter_value job_decodes in
+  let retried, cached = expect_accepted "retry" (router_submit router (check_req 0.43)) in
+  Alcotest.(check int) "the retry is decoded again" 1
+    (Metrics.counter_value job_decodes - decodes0);
+  Alcotest.(check bool) "the retry is a fresh run" false cached;
+  match router_wait router retried with
+  | Wire.Job_done _ -> ()
+  | _ -> Alcotest.fail "the retried submit runs to completion"
+
+let test_memo_resubmit_skips_decode () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let digest, _ = expect_accepted "first" (router_submit router (check_req 0.44)) in
+  ignore (router_wait router digest : Wire.job_state);
+  let decodes0 = Metrics.counter_value job_decodes in
+  for _ = 1 to 3 do
+    let digest', cached = expect_accepted "resubmit" (router_submit router (check_req 0.44)) in
+    Alcotest.(check string) "same digest" digest digest';
+    Alcotest.(check bool) "answered cached" true cached
+  done;
+  Alcotest.(check int) "resubmits are not decoded" 0
+    (Metrics.counter_value job_decodes - decodes0)
+
+(* The memo keeps (kind, digest), not the parsed job: 600 distinct Data
+   Repair submits (more than the memo's 512 entries) grow the router by
+   little more than their job-table entries.  Each request carries its
+   own copy of the trace text, as a decoded wire frame does. *)
+let test_memo_memory_bounded () =
+  let traces =
+    Trace_io.to_string (Wsn.observation_groups (Prng.create 11) Wsn.default_params ~count:400)
+  in
+  let request i =
+    Wire.Data_repair_req
+      {
+        states = 9;
+        init = 8;
+        labels = [ ("delivered", [ 0 ]) ];
+        rewards = Some (List.init 9 (fun s -> if s = 0 then 0.0 else 1.0));
+        (* a loose bound: the learned chain already satisfies it, so each
+           job is a learn and a check *)
+        phi = Printf.sprintf "R<=%d [ F delivered ]" (1000 + i);
+        traces = Bytes.to_string (Bytes.of_string traces);
+        max_drop = 0.9;
+        pinned = [];
+        starts = 1;
+        backend = "nlp";
+      }
+  in
+  Runtime.with_runtime ~workers:2 @@ fun rt ->
+  let router = Router.create rt in
+  let words () = Obj.reachable_words (Obj.repr router) in
+  let w100 = ref 0 and peak = ref 0 in
+  for i = 1 to 600 do
+    let digest, _ = expect_accepted "data repair" (router_submit router (request i)) in
+    ignore (router_wait router digest : Wire.job_state);
+    if i = 100 then w100 := words ();
+    if i mod 100 = 0 then peak := max !peak (words ())
+  done;
+  let per_submit = (!peak - !w100) / 500 in
+  if per_submit > 1_000 then
+    Alcotest.failf "router grows %d words per distinct submit" per_submit
+
+(* ----------------------------- wake pipe ------------------------------ *)
+
+(* Replies from the executor reach the event loop through its mailbox and
+   a wake byte.  Waits on one job settle together, so their replies are
+   posted microseconds apart; a loop that took the mailbox before
+   draining the wake pipe could swallow a later reply's wake byte and
+   leave that reply parked until the next poll tick.  At the default read
+   timeout the tick is 200 ms, so every round must finish well inside
+   it. *)
+let test_concurrent_replies_not_parked () =
+  let rounds = 25 and waiters = 8 in
+  with_delay_faults ~fires:rounds ~delay:0.01 @@ fun () ->
+  with_server ~read_timeout_s:5.0 @@ fun addr _server _router ->
+  let clients = List.init waiters (fun _ -> Client.connect addr) in
+  Fun.protect ~finally:(fun () -> List.iter Client.close clients) @@ fun () ->
+  let worst = ref 0.0 in
+  for i = 1 to rounds do
+    let digest, _ =
+      Client.submit (List.hd clients) (check_req (0.5 +. (float_of_int i /. 1000.0)))
+    in
+    let t0 = Unix.gettimeofday () in
+    let threads =
+      List.map
+        (fun c ->
+           Thread.create (fun () -> ignore (Client.wait c digest : Wire.job_state)) ())
+        clients
+    in
+    List.iter Thread.join threads;
+    worst := Float.max !worst (Unix.gettimeofday () -. t0)
+  done;
+  if !worst > 0.1 then
+    Alcotest.failf "slowest round took %.0f ms, past half a 200 ms tick"
+      (!worst *. 1000.0)
+
 (* -------------------------------- tcp --------------------------------- *)
 
 let test_tcp_ephemeral_port () =
@@ -949,5 +1081,18 @@ let () =
       ( "tcp",
         [
           Alcotest.test_case "ephemeral port" `Quick test_tcp_ephemeral_port;
+        ] );
+      ( "router memo",
+        [
+          Alcotest.test_case "shed submit retried still runs" `Quick
+            test_memo_shed_retry_runs;
+          Alcotest.test_case "resubmit skips decode" `Quick
+            test_memo_resubmit_skips_decode;
+          Alcotest.test_case "memory bounded" `Quick test_memo_memory_bounded;
+        ] );
+      ( "wake pipe",
+        [
+          Alcotest.test_case "concurrent replies not parked" `Quick
+            test_concurrent_replies_not_parked;
         ] );
     ]
