@@ -27,11 +27,6 @@ let normalize_saved =
 (* until the single Ratfun.make per query at the very end.              *)
 (* ------------------------------------------------------------------ *)
 
-(* Read per solve, not at module init, so differential tests can flip the
-   switch with [Unix.putenv] mid-process. *)
-let use_factored () =
-  match Sys.getenv_opt "TML_ELIM_FACTORED" with Some "0" -> false | _ -> true
-
 module Pmap = Map.Make (Poly)
 
 type fr = { c : P.t; nf : int Pmap.t; df : int Pmap.t }
@@ -221,106 +216,40 @@ let backward_reachable rows from =
 
 (* ------------------------------------------------------------------ *)
 (* Core elimination: solve E(s) = r(s) + Σ_v p(s,v) E(v) on the states  *)
-(* in [active], all other E-values being 0.  Returns E(init).           *)
+(* in [active], all other E-values being 0.  Returns E(init).  Every    *)
+(* stored value is an [fr]; nothing is normalized until the single      *)
+(* [fr_to_ratfun] at the end of the query.                              *)
+(*                                                                      *)
+(* The schedule is a sequence of dynamic picks; the final rational      *)
+(* function's REPRESENTATION depends on that exact sequence (without    *)
+(* multivariate gcd, different orders leave different common factors   *)
+(* unreduced).  With no [Parallel] runner installed every batch is the  *)
+(* single next pick, which is that sequence itself.  With a runner the  *)
+(* solver does not invent a new schedule: it proves, batch by batch,    *)
+(* that a prefix of the sequential schedule consists of states whose    *)
+(* neighborhoods                                                        *)
+(*   N(s) = {s} ∪ preds(s) ∪ succs(s)                                   *)
+(* are pairwise disjoint.  Disjoint-N eliminations read and write       *)
+(* disjoint array cells (rows of preds(s), pred-sets of succs(s), s's   *)
+(* own row), so running them concurrently is cell-for-cell identical to *)
+(* running them in sequence — byte-identical output, any interleaving.  *)
+(*                                                                      *)
+(* Replicating the DYNAMIC Min_degree pick without executing anything   *)
+(* needs one more argument.  States outside the batch's touched region  *)
+(* ⋃N(b) keep their exact degree (no cell of theirs is written), so     *)
+(* their post-batch pick keys are the frozen ones.  States inside it    *)
+(* have uncertain degrees — but elimination only REMOVES an edge u→v    *)
+(* when v is a batch member or a fill-in target (succs(b)), and only    *)
+(* removes w→u when w is a batch member or fill-in source (preds(b)):   *)
+(* everything else can at most gain edges.  Counting only the edges     *)
+(* that provably survive gives a degree lower bound; if every touched   *)
+(* survivor's bound exceeds the best frozen degree, the frozen argmin   *)
+(* IS the next sequential pick.  Any doubt — a touched state whose      *)
+(* bound could win or tie (ties would invoke the sym_size tie-break on  *)
+(* a row we cannot know) — closes the batch instead of guessing.        *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-edge normalized arithmetic — the reference implementation kept as an
-   ablation/debugging path (TML_ELIM_FACTORED=0). *)
-let solve_ratfun ~order ~rows ~rew ~active ~init =
-  let n = Array.length rows in
-  (* Local mutable copies restricted to active states. *)
-  let p = Array.make n Imap.empty in
-  Array.iteri
-    (fun s row ->
-       if active.(s) then
-         p.(s) <- Imap.filter (fun d _ -> active.(d)) row)
-    rows;
-  let r = Array.copy rew in
-  let preds = Array.make n Iset.empty in
-  Array.iteri
-    (fun s row -> Imap.iter (fun d _ -> preds.(d) <- Iset.add s preds.(d)) row)
-    p;
-  let alive = Array.copy active in
-  let to_eliminate =
-    List.filter (fun s -> alive.(s) && s <> init) (List.init n Fun.id)
-  in
-  let degree s = Iset.cardinal preds.(s) * Imap.cardinal p.(s) in
-  let pick remaining =
-    match order with
-    | Ascending -> List.hd remaining
-    | Descending -> List.hd (List.rev remaining)
-    | Min_degree ->
-      List.fold_left
-        (fun best s -> if degree s < degree best then s else best)
-        (List.hd remaining) remaining
-  in
-  let eliminate s =
-    let self = Option.value ~default:Ratfun.zero (Imap.find_opt s p.(s)) in
-    let one_minus = Ratfun.sub Ratfun.one self in
-    if Ratfun.is_zero one_minus then begin
-      (* p(s,s) ≡ 1: a trap; passing through contributes nothing finite.
-         Structural pre-analysis removes such states from reward queries, so
-         here simply cut s out (its E-value is 0 in probability queries). *)
-      Iset.iter
-        (fun u -> if u <> s then p.(u) <- Imap.remove s p.(u))
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-    else begin
-      let factor = Ratfun.inv one_minus in
-      let out = Imap.remove s p.(s) in
-      let r_s = Ratfun.mul factor r.(s) in
-      let scaled_out = Imap.map (fun f -> Ratfun.mul factor f) out in
-      Iset.iter
-        (fun u ->
-           if u <> s then begin
-             match Imap.find_opt s p.(u) with
-             | None -> ()
-             | Some p_us ->
-               r.(u) <- Ratfun.add r.(u) (Ratfun.mul p_us r_s);
-               Imap.iter
-                 (fun v f ->
-                    let contrib = Ratfun.mul p_us f in
-                    p.(u) <-
-                      Imap.update v
-                        (function
-                          | None -> Some contrib
-                          | Some g ->
-                            let sum = Ratfun.add g contrib in
-                            if Ratfun.is_zero sum then None else Some sum)
-                        p.(u);
-                    preds.(v) <- Iset.add u preds.(v))
-                 scaled_out;
-               p.(u) <- Imap.remove s p.(u)
-           end)
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      preds.(s) <- Iset.empty;
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-  in
-  let rec loop remaining =
-    match remaining with
-    | [] -> ()
-    | _ ->
-      let s = pick remaining in
-      eliminate s;
-      loop (List.filter (fun x -> x <> s) remaining)
-  in
-  loop to_eliminate;
-  (* E(init) = r(init) / (1 - p(init,init)) *)
-  let self = Option.value ~default:Ratfun.zero (Imap.find_opt init p.(init)) in
-  let one_minus = Ratfun.sub Ratfun.one self in
-  if Ratfun.is_zero one_minus then Ratfun.zero
-  else Ratfun.mul (Ratfun.inv one_minus) r.(init)
-
-(* Factored-form elimination: identical control flow, but every stored
-   value is an [fr] and nothing is normalized until the single
-   [fr_to_ratfun] at the end of the query. *)
-let solve_factored ~order ~rows ~rew ~active ~init =
+let solve ~order ~rows ~rew ~active ~init =
   let n = Array.length rows in
   let p = Array.make n Imap.empty in
   Array.iteri
@@ -351,207 +280,49 @@ let solve_factored ~order ~rows ~rew ~active ~init =
       t.df (P.num_terms t.c)
   in
   let sym_size s = Imap.fold (fun _ f acc -> acc + fr_size f) p.(s) 0 in
+  (* The Min_degree argmin over a non-empty candidate list, with its
+     degree; full ties go to the earliest candidate. *)
+  let argmin candidates =
+    let best = ref (List.hd candidates) in
+    let best_deg = ref (degree !best) in
+    let best_size = ref (-1) in
+    List.iter
+      (fun s ->
+         let d = degree s in
+         if d < !best_deg then begin
+           best := s;
+           best_deg := d;
+           best_size := -1
+         end
+         else if d = !best_deg then begin
+           if !best_size < 0 then best_size := sym_size !best;
+           let sz = sym_size s in
+           if sz < !best_size then begin
+             best := s;
+             best_size := sz
+           end
+         end)
+      (List.tl candidates);
+    (!best, !best_deg)
+  in
   let pick remaining =
     match order with
     | Ascending -> List.hd remaining
     | Descending -> List.hd (List.rev remaining)
-    | Min_degree ->
-      let best = ref (List.hd remaining) in
-      let best_deg = ref (degree !best) in
-      let best_size = ref (-1) in
-      List.iter
-        (fun s ->
-           let d = degree s in
-           if d < !best_deg then begin
-             best := s;
-             best_deg := d;
-             best_size := -1
-           end
-           else if d = !best_deg && s <> !best then begin
-             if !best_size < 0 then best_size := sym_size !best;
-             let sz = sym_size s in
-             if sz < !best_size then begin
-               best := s;
-               best_size := sz
-             end
-           end)
-        (List.tl remaining);
-      !best
+    | Min_degree -> fst (argmin remaining)
   in
-  let saved = ref 0 in
-  let eliminate s =
-    let self = Option.value ~default:fr_zero (Imap.find_opt s p.(s)) in
-    let one_minus = fr_add fr_one (fr_neg self) in
-    if fr_is_zero one_minus then begin
-      (* p(s,s) ≡ 1: a trap; cut s out (see solve_ratfun) *)
-      Iset.iter
-        (fun u -> if u <> s then p.(u) <- Imap.remove s p.(u))
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-    else begin
-      let factor = fr_inv one_minus in
-      let out = Imap.remove s p.(s) in
-      let r_s = fr_mul factor r.(s) in
-      let r_s_zero = fr_is_zero r_s in
-      let scaled_out = Imap.map (fun f -> fr_mul factor f) out in
-      (* vs the per-edge path: one normalize per scaled out-edge, plus the
-         explicit inverse and the r_s product *)
-      saved := !saved + Imap.cardinal out + 2;
-      Iset.iter
-        (fun u ->
-           if u <> s then begin
-             match Imap.find_opt s p.(u) with
-             | None -> ()
-             | Some p_us ->
-               if not r_s_zero then begin
-                 r.(u) <- fr_add r.(u) (fr_mul p_us r_s);
-                 saved := !saved + 2
-               end;
-               Imap.iter
-                 (fun v sf ->
-                    let contrib = fr_mul p_us sf in
-                    p.(u) <-
-                      Imap.update v
-                        (function
-                          | None ->
-                            saved := !saved + 1;
-                            if fr_is_zero contrib then None else Some contrib
-                          | Some g ->
-                            saved := !saved + 2;
-                            let sum = fr_add g contrib in
-                            if fr_is_zero sum then None else Some sum)
-                        p.(u);
-                    preds.(v) <- Iset.add u preds.(v))
-                 scaled_out;
-               p.(u) <- Imap.remove s p.(u)
-           end)
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      preds.(s) <- Iset.empty;
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-  in
-  let rec loop remaining =
-    match remaining with
-    | [] -> ()
-    | _ ->
-      let s = pick remaining in
-      eliminate s;
-      loop (List.filter (fun x -> x <> s) remaining)
-  in
-  loop to_eliminate;
-  if !saved > 0 then Metrics.incr ~by:!saved normalize_saved;
-  (* E(init) = r(init) / (1 - p(init,init)) *)
-  let self = Option.value ~default:fr_zero (Imap.find_opt init p.(init)) in
-  let one_minus = fr_add fr_one (fr_neg self) in
-  if fr_is_zero one_minus then Ratfun.zero
-  else fr_to_ratfun (fr_mul (fr_inv one_minus) r.(init))
-
-(* ------------------------------------------------------------------ *)
-(* Batched parallel elimination.                                        *)
-(*                                                                      *)
-(* The sequential schedule is a sequence of dynamic picks; the final    *)
-(* rational function's REPRESENTATION depends on that exact sequence    *)
-(* (without multivariate gcd, different orders leave different common   *)
-(* factors unreduced).  So the parallel path does not invent a new      *)
-(* schedule: it proves, batch by batch, that a prefix of the sequential *)
-(* schedule consists of states whose neighborhoods                      *)
-(*   N(s) = {s} ∪ preds(s) ∪ succs(s)                                   *)
-(* are pairwise disjoint.  Disjoint-N eliminations read and write       *)
-(* disjoint array cells (rows of preds(s), pred-sets of succs(s), s's   *)
-(* own row), so running them concurrently is cell-for-cell identical to *)
-(* running them in sequence — byte-identical output, any interleaving.  *)
-(*                                                                      *)
-(* Replicating the DYNAMIC Min_degree pick without executing anything   *)
-(* needs one more argument.  States outside the batch's touched region  *)
-(* ⋃N(b) keep their exact degree (no cell of theirs is written), so     *)
-(* their post-batch pick keys are the frozen ones.  States inside it    *)
-(* have uncertain degrees — but elimination only REMOVES an edge u→v    *)
-(* when v is a batch member or a fill-in target (succs(b)), and only    *)
-(* removes w→u when w is a batch member or fill-in source (preds(b)):   *)
-(* everything else can at most gain edges.  Counting only the edges     *)
-(* that provably survive gives a degree lower bound; if every touched   *)
-(* survivor's bound exceeds the best frozen degree, the frozen argmin   *)
-(* IS the next sequential pick.  Any doubt — a touched state whose      *)
-(* bound could win or tie (ties would invoke the sym_size tie-break on  *)
-(* a row we cannot know) — closes the batch instead of guessing.        *)
-(* ------------------------------------------------------------------ *)
-
-(* Read per solve, like TML_ELIM_FACTORED, so differential tests can
-   flip the escape hatch with [Unix.putenv] mid-process. *)
-let use_parallel () =
-  match Sys.getenv_opt "TML_ELIM_PARALLEL" with Some "0" -> false | _ -> true
-
-let solve_factored_parallel ~order ~rows ~rew ~active ~init =
-  let n = Array.length rows in
-  let p = Array.make n Imap.empty in
-  Array.iteri
-    (fun s row ->
-       if active.(s) then
-         p.(s) <-
-           Imap.filter_map
-             (fun d f -> if active.(d) then Some (fr_of_ratfun f) else None)
-             row)
-    rows;
-  let r = Array.map fr_of_ratfun rew in
-  let preds = Array.make n Iset.empty in
-  Array.iteri
-    (fun s row -> Imap.iter (fun d _ -> preds.(d) <- Iset.add s preds.(d)) row)
-    p;
-  let alive = Array.copy active in
-  let to_eliminate =
-    List.filter (fun s -> alive.(s) && s <> init) (List.init n Fun.id)
-  in
-  let degree s = Iset.cardinal preds.(s) * Imap.cardinal p.(s) in
-  let fr_size t =
-    Pmap.fold
-      (fun f e acc -> acc + (e * P.num_terms f))
-      t.df (P.num_terms t.c)
-  in
-  let sym_size s = Imap.fold (fun _ f acc -> acc + fr_size f) p.(s) 0 in
-  (* identical to [solve_factored]'s pick — the first member of every
-     batch is the true dynamic pick *)
-  let pick remaining =
-    match order with
-    | Ascending -> List.hd remaining
-    | Descending -> List.hd (List.rev remaining)
-    | Min_degree ->
-      let best = ref (List.hd remaining) in
-      let best_deg = ref (degree !best) in
-      let best_size = ref (-1) in
-      List.iter
-        (fun s ->
-           let d = degree s in
-           if d < !best_deg then begin
-             best := s;
-             best_deg := d;
-             best_size := -1
-           end
-           else if d = !best_deg && s <> !best then begin
-             if !best_size < 0 then best_size := sym_size !best;
-             let sz = sym_size s in
-             if sz < !best_size then begin
-               best := s;
-               best_size := sz
-             end
-           end)
-        (List.tl remaining);
-      !best
-  in
+  (* Each elimination keeps a private normalize-saved tally and adds it to
+     [saved_total] when done, so concurrent eliminations of one batch
+     never share a mutable cell. *)
   let saved_total = Atomic.make 0 in
-  (* [solve_factored]'s eliminate with the normalize-saved tally as a
-     parameter: each parallel task owns a private counter (summed into
-     [saved_total] at task end), so concurrent eliminations never share
-     a mutable cell *)
-  let eliminate ~saved s =
+  let eliminate s =
+    let saved = ref 0 in
     let self = Option.value ~default:fr_zero (Imap.find_opt s p.(s)) in
     let one_minus = fr_add fr_one (fr_neg self) in
     if fr_is_zero one_minus then begin
-      (* p(s,s) ≡ 1: a trap; cut s out (see solve_ratfun) *)
+      (* p(s,s) ≡ 1: a trap; passing through contributes nothing finite.
+         Structural pre-analysis removes such states from reward queries, so
+         here simply cut s out (its E-value is 0 in probability queries). *)
       Iset.iter
         (fun u -> if u <> s then p.(u) <- Imap.remove s p.(u))
         preds.(s);
@@ -565,6 +336,8 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
       let r_s = fr_mul factor r.(s) in
       let r_s_zero = fr_is_zero r_s in
       let scaled_out = Imap.map (fun f -> fr_mul factor f) out in
+      (* vs per-edge normalized arithmetic: one normalize per scaled
+         out-edge, plus the explicit inverse and the r_s product *)
       saved := !saved + Imap.cardinal out + 2;
       Iset.iter
         (fun u ->
@@ -599,7 +372,8 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
       preds.(s) <- Iset.empty;
       p.(s) <- Imap.empty;
       alive.(s) <- false
-    end
+    end;
+    if !saved > 0 then ignore (Atomic.fetch_and_add saved_total !saved : int)
   in
   let succs s = Imap.fold (fun d _ acc -> Iset.add d acc) p.(s) Iset.empty in
   let nbhd s = Iset.add s (Iset.union preds.(s) (succs s)) in
@@ -648,36 +422,17 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
         | Min_degree -> (
             match List.filter (fun s -> not (Iset.mem s !touched)) rest with
             | [] -> None  (* no state with a provably exact degree left *)
-            | u0 :: us ->
+            | untouched ->
               (* frozen argmin over untouched survivors — their rows and
                  pred-sets are exactly the post-batch ones *)
-              let best = ref u0 in
-              let best_deg = ref (degree u0) in
-              let best_size = ref (-1) in
-              List.iter
-                (fun s ->
-                   let d = degree s in
-                   if d < !best_deg then begin
-                     best := s;
-                     best_deg := d;
-                     best_size := -1
-                   end
-                   else if d = !best_deg then begin
-                     if !best_size < 0 then best_size := sym_size !best;
-                     let sz = sym_size s in
-                     if sz < !best_size then begin
-                       best := s;
-                       best_size := sz
-                     end
-                   end)
-                us;
+              let best, best_deg = argmin untouched in
               (* sound only if no touched survivor could beat OR tie it *)
               let doubtful =
                 List.exists
-                  (fun s -> Iset.mem s !touched && min_deg s <= !best_deg)
+                  (fun s -> Iset.mem s !touched && min_deg s <= best_deg)
                   rest
               in
-              if doubtful then None else Some !best)
+              if doubtful then None else Some best)
       in
       match candidate with
       | Some c when Iset.disjoint (nbhd c) !touched -> add c
@@ -685,28 +440,13 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
     done;
     List.rev !batch
   in
-  let run_batch = function
-    | [ s ] ->
-      let saved = ref 0 in
-      eliminate ~saved s;
-      if !saved > 0 then ignore (Atomic.fetch_and_add saved_total !saved : int)
-    | batch ->
-      Parallel.run
-        (Array.of_list
-           (List.map
-              (fun s () ->
-                 let saved = ref 0 in
-                 eliminate ~saved s;
-                 if !saved > 0 then
-                   ignore (Atomic.fetch_and_add saved_total !saved : int))
-              batch))
-  in
+  let batched = Parallel.enabled () in
   let rec loop remaining =
     match remaining with
     | [] -> ()
     | _ ->
-      let batch = build_batch remaining in
-      run_batch batch;
+      let batch = if batched then build_batch remaining else [ pick remaining ] in
+      Parallel.run (Array.of_list (List.map (fun s () -> eliminate s) batch));
       let bs = Iset.of_list batch in
       loop (List.filter (fun x -> not (Iset.mem x bs)) remaining)
   in
@@ -718,11 +458,6 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
   let one_minus = fr_add fr_one (fr_neg self) in
   if fr_is_zero one_minus then Ratfun.zero
   else fr_to_ratfun (fr_mul (fr_inv one_minus) r.(init))
-
-let solve ~order ~rows ~rew ~active ~init =
-  if not (use_factored ()) then solve_ratfun ~order ~rows ~rew ~active ~init
-  else if use_parallel () then solve_factored_parallel ~order ~rows ~rew ~active ~init
-  else solve_factored ~order ~rows ~rew ~active ~init
 
 (* ------------------------------------------------------------------ *)
 
@@ -797,17 +532,3 @@ let expected_reward ?(order = Min_degree) pdtmc ~target =
     in
     solve ~order ~rows ~rew ~active ~init
   end
-
-let eliminated_states pdtmc ~target =
-  let n = Pdtmc.num_states pdtmc in
-  check_target n target;
-  let init = Pdtmc.init_state pdtmc in
-  let tset = Iset.of_list target in
-  let rows = rows_of pdtmc in
-  let reach = forward_reachable rows init in
-  let can = backward_reachable rows tset in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if reach.(s) && can.(s) && (not (Iset.mem s tset)) && s <> init then incr count
-  done;
-  !count

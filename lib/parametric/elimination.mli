@@ -44,7 +44,3 @@ val expected_reward : ?order:order -> Pdtmc.t -> target:int list -> Ratfun.t
 (** Expected accumulated state reward until first reaching the target
     (PRISM's [R \[F target\]]); target-state rewards are not counted.
     @raise Not_almost_sure when the target is not reached almost surely. *)
-
-val eliminated_states : Pdtmc.t -> target:int list -> int
-(** Number of states the probability query actually eliminates — exposed
-    for the elimination-order ablation benchmark. *)

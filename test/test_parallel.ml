@@ -1,7 +1,9 @@
 (* Differential tests for the multicore symbolic kernel: the parallel
    elimination and the parallel NLP multistart must be byte-identical to
-   their sequential reference paths (on the WSN grids n=2..4 and the
-   lane-change chain, and on whole Model, Data and Reward Repairs whose
+   their sequential reference paths (on the WSN grids n=2..4, the
+   lane-change chain and seeded generated chains, where elimination is
+   also checked against a per-edge reference solver, and on whole Model,
+   Data and Reward Repairs whose
    concurrent starts share one compiled constraint or Bellman kernel),
    an injected worker crash mid-batch must be retried — not wedge the
    batch — and nested subtask submission must complete on a 1-worker
@@ -20,13 +22,6 @@ let with_pool ~workers f =
       Parallel.set_runner None;
       Pool.shutdown pool)
     (fun () -> f pool)
-
-(* [Unix.putenv] cannot unset, but the kernel switches only distinguish
-   "0" / not-"0", so restoring to "" restores default behaviour. *)
-let with_env var value f =
-  let old = Option.value ~default:"" (Sys.getenv_opt var) in
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var old) f
 
 (* ------------------------------ fixtures ------------------------------ *)
 
@@ -64,34 +59,33 @@ let orders =
 
 (* ----------------------- elimination differential --------------------- *)
 
-(* Three paths through the same query:
-   - TML_ELIM_PARALLEL=0        → the original sequential [solve_factored]
-   - parallel, no runner        → batched schedule, sequential fallback
-   - parallel, pool runner      → batched schedule across pool domains
-   All three must render to the same string: byte-identical, not just
-   numerically close. *)
+let normalize_saved = Metrics.counter "tml_elim_normalize_saved_total"
+
+(* [f ()] and the amount it adds to the normalize-saved counter *)
+let with_saved f =
+  let before = Metrics.counter_value normalize_saved in
+  let v = f () in
+  (v, Metrics.counter_value normalize_saved - before)
+
+(* Two runs of the same query: with no runner installed (the sequential
+   schedule, one state per batch) and with a 2-worker pool runner (the
+   batched schedule across pool domains).  They must render to the same
+   string — byte-identical, not just numerically close — and add the same
+   amount to the normalize-saved counter. *)
+let check_elim_order name query (oname, order) =
+  let seq, seq_saved = with_saved (fun () -> query order) in
+  let pooled, pooled_saved =
+    with_pool ~workers:2 (fun _ -> with_saved (fun () -> query order))
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "%s/%s pooled=no-runner" name oname)
+    (Ratfun.to_string seq) (Ratfun.to_string pooled);
+  Alcotest.(check int)
+    (Printf.sprintf "%s/%s normalize-saved" name oname)
+    seq_saved pooled_saved
+
 let check_elim_identical name query =
-  List.iter
-    (fun (oname, order) ->
-       let reference =
-         with_env "TML_ELIM_PARALLEL" "0" (fun () -> query order)
-       in
-       let batched_seq =
-         with_env "TML_ELIM_PARALLEL" "1" (fun () -> query order)
-       in
-       let batched_par =
-         with_env "TML_ELIM_PARALLEL" "1" (fun () ->
-             with_pool ~workers:2 (fun _pool -> query order))
-       in
-       Alcotest.(check string)
-         (Printf.sprintf "%s/%s batched=sequential" name oname)
-         (Ratfun.to_string reference)
-         (Ratfun.to_string batched_seq);
-       Alcotest.(check string)
-         (Printf.sprintf "%s/%s pooled=sequential" name oname)
-         (Ratfun.to_string reference)
-         (Ratfun.to_string batched_par))
-    orders
+  List.iter (check_elim_order name query) orders
 
 let test_elim_wsn_reachability () =
   List.iter
@@ -103,20 +97,13 @@ let test_elim_wsn_reachability () =
             Elimination.reachability_probability ~order pm ~target:[ 0 ]))
     [ 2; 3 ]
 
-(* n=4 is ~300 ms per elimination, so one order covers it without
+(* n=4 is ~200 ms per elimination, so one order covers it without
    dominating the suite's runtime *)
 let test_elim_wsn_n4 () =
   let pm = wsn_pm 4 in
-  let query order =
-    Elimination.reachability_probability ~order pm ~target:[ 0 ]
-  in
-  let reference = with_env "TML_ELIM_PARALLEL" "0" (fun () -> query Elimination.Min_degree) in
-  let pooled =
-    with_env "TML_ELIM_PARALLEL" "1" (fun () ->
-        with_pool ~workers:2 (fun _ -> query Elimination.Min_degree))
-  in
-  Alcotest.(check string) "wsn n=4 pooled=sequential"
-    (Ratfun.to_string reference) (Ratfun.to_string pooled)
+  check_elim_order "wsn n=4 reach"
+    (fun order -> Elimination.reachability_probability ~order pm ~target:[ 0 ])
+    ("min-degree", Elimination.Min_degree)
 
 let test_elim_wsn_reward () =
   List.iter
@@ -131,6 +118,103 @@ let test_elim_lane_change () =
   let pm = car_pm () in
   check_elim_identical "lane-change reach" (fun order ->
       Elimination.reachability_probability ~order pm ~target:[ 3; 4 ])
+
+(* ---------------------- generated-chain differential ------------------- *)
+
+type chain_case = { chain : Pdtmc.t; target : int list }
+
+(* Small parametric chains over one or two parameters.  Every row is an
+   absorbing trap, a p / 1−p split, a constant c / 1−c split or a
+   three-way constant split, over distinct destinations that may include
+   the state itself; rewards are small integers. *)
+let gen_chain_case =
+  let open QCheck2.Gen in
+  let* n = int_range 3 12 in
+  let* params = oneofl [ [ "p" ]; [ "p"; "q" ] ] in
+  let const den = map (fun k -> Ratio.of_ints k den) (int_range 1 7) in
+  let row s =
+    let* d1 = int_range 0 (n - 1) in
+    let* k2 = int_range 1 (n - 1) in
+    let* k3 = int_range 1 (n - 2) in
+    let d2 = (d1 + k2) mod n in
+    let d3 = (d1 + if k3 >= k2 then k3 + 1 else k3) mod n in
+    let split d d' f = return [ (s, d, f); (s, d', Ratfun.sub Ratfun.one f) ] in
+    frequency
+      [ (1, return [ (s, s, Ratfun.one) ]);
+        (3, oneofl params >>= fun x -> split d1 d2 (Ratfun.var x));
+        (2, const 8 >>= fun c -> split d1 d2 (Ratfun.const c));
+        ( 1,
+          pair (const 16) (const 16) >>= fun (a, b) ->
+          return
+            [ (s, d1, Ratfun.const a); (s, d2, Ratfun.const b);
+              (s, d3, Ratfun.const (Ratio.sub Ratio.one (Ratio.add a b))) ] );
+      ]
+  in
+  let* rows = flatten_l (List.init n row) in
+  let* rewards = array_size (return n) (int_range 0 3) in
+  let* target = list_size (int_range 1 2) (int_range 1 (n - 1)) in
+  return
+    { chain =
+        Pdtmc.make ~n ~init:0 ~transitions:(List.concat rows)
+          ~rewards:(Array.map Ratfun.of_int rewards) ();
+      target = List.sort_uniq compare target }
+
+let print_chain_case { chain; target } =
+  Format.asprintf "%a@.target = [%s]" Pdtmc.pp chain
+    (String.concat "; " (List.map string_of_int target))
+
+let expect cond fmt =
+  Format.kasprintf (fun msg -> if not cond then QCheck2.Test.fail_report msg) fmt
+
+(* For both queries and every order: pooled == no-runner byte for byte
+   (result and normalize-saved tally), [Ratfun.equal] to the per-edge
+   reference, and [Not_almost_sure] exactly when a reachable state has no
+   path into the target. *)
+let check_chain_case { chain; target } =
+  let runs =
+    List.concat_map
+      (fun (oname, order) ->
+         [ ( "reach", oname,
+             fun () -> Some (Elimination.reachability_probability ~order chain ~target) );
+           ( "reward", oname,
+             fun () ->
+               match Elimination.expected_reward ~order chain ~target with
+               | f -> Some f
+               | exception Elimination.Not_almost_sure _ -> None );
+         ])
+      orders
+  in
+  let all () = List.map (fun (_, _, query) -> with_saved query) runs in
+  let seq = all () in
+  let pooled = with_pool ~workers:2 (fun _ -> all ()) in
+  let reference =
+    [ ("reach", Some (Elim_reference.reachability_probability chain ~target));
+      ( "reward",
+        if Elim_reference.almost_sure chain ~target then
+          Some (Elim_reference.expected_reward chain ~target)
+        else None );
+    ]
+  in
+  let show = Option.fold ~none:"Not_almost_sure" ~some:Ratfun.to_string in
+  List.iter2
+    (fun (q, oname, _) ((f, f_saved), (g, g_saved)) ->
+       expect (show f = show g) "%s/%s: no-runner %s, pooled %s" q oname (show f)
+         (show g);
+       expect (f_saved = g_saved) "%s/%s: normalize-saved %d vs %d" q oname
+         f_saved g_saved;
+       match (f, List.assoc q reference) with
+       | Some f, Some r ->
+         expect (Ratfun.equal f r) "%s/%s: differs from the reference" q oname
+       | None, None -> ()
+       | Some _, None -> expect false "%s/%s: no Not_almost_sure" q oname
+       | None, Some _ -> expect false "%s/%s: spurious Not_almost_sure" q oname)
+    runs (List.combine seq pooled);
+  true
+
+let test_elim_generated =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2018 |])
+    (QCheck2.Test.make ~name:"generated chains" ~count:200
+       ~print:print_chain_case gen_chain_case check_chain_case)
 
 (* --------------------------- NLP differential ------------------------- *)
 
@@ -309,6 +393,7 @@ let () =
             test_elim_wsn_reward;
           Alcotest.test_case "lane-change reachability" `Quick
             test_elim_lane_change;
+          test_elim_generated;
         ] );
       ( "nlp differential",
         [ Alcotest.test_case "multistart" `Quick test_multistart_identical;

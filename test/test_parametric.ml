@@ -143,9 +143,7 @@ let test_elim_orders_agree () =
   let f2 = Elimination.reachability_probability ~order:Ascending d ~target:[ 3 ] in
   let f3 = Elimination.reachability_probability ~order:Descending d ~target:[ 3 ] in
   check_rf "min-degree vs ascending" f1 f2;
-  check_rf "min-degree vs descending" f1 f3;
-  Alcotest.(check int) "eliminated count" 2
-    (Elimination.eliminated_states d ~target:[ 3 ])
+  check_rf "min-degree vs descending" f1 f3
 
 let test_elim_reward_compound () =
   (* 0 (r=2) -> 1 w.p. p else stay; 1 (r=3) -> 2 w.p. q else stay; 2 target.

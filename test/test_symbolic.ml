@@ -392,22 +392,16 @@ let test_elimination_reach_golden () =
     [ Elimination.Min_degree; Elimination.Ascending; Elimination.Descending ]
 
 let test_factored_vs_reference () =
-  (* the factored engine and the per-edge reference path must agree
+  (* the factored engine and the per-edge reference must agree
      semantically (their normalized quotients may differ in size — only
      cross-multiplication equality is canonical) *)
-  let with_reference f =
-    Unix.putenv "TML_ELIM_FACTORED" "0";
-    Fun.protect ~finally:(fun () -> Unix.putenv "TML_ELIM_FACTORED" "1") f
-  in
   let pm = Lazy.force wsn_parametric in
   let factored = Elimination.expected_reward pm ~target:[ 0 ] in
-  let reference = with_reference (fun () -> Elimination.expected_reward pm ~target:[ 0 ]) in
+  let reference = Elim_reference.expected_reward pm ~target:[ 0 ] in
   Alcotest.(check bool) "expected reward agrees" true
     (Ratfun.equal factored reference);
   let p_factored = Elimination.reachability_probability pm ~target:[ 0 ] in
-  let p_reference =
-    with_reference (fun () -> Elimination.reachability_probability pm ~target:[ 0 ])
-  in
+  let p_reference = Elim_reference.reachability_probability pm ~target:[ 0 ] in
   Alcotest.(check bool) "reachability agrees" true
     (Ratfun.equal p_factored p_reference)
 
