@@ -723,7 +723,7 @@ type breakdown_row = { bname : string; bcount : int; btotal_s : float }
    wall time of a cold batch actually go?  Runs AFTER the untraced
    [runtime_scaling] measurements so tracing overhead (small, but not
    zero) cannot leak into them.  Aggregated per span name from the
-   drained trace, not from the stage recorder, so nested work (cache
+   drained trace, not from the stage histograms, so nested work (cache
    fills inside retries, NLP rungs inside solve) is attributed too. *)
 let stage_breakdown () =
   Trace_span.enable ();
@@ -1430,17 +1430,6 @@ let row_stats ~group ~name raws =
     { group; name; samples = n; mean_ns = mean; stddev_ns = sqrt var; min_ns }
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* Latency-to-detection: the `tml watch` hot path                       *)
 (* ------------------------------------------------------------------ *)
@@ -1591,178 +1580,191 @@ let prune_history workload =
            try Sys.remove (Filename.concat !results_dir f) with Sys_error _ -> ())
       old
 
-let write_history ~workload content =
+let num f = Json.Num f
+let int n = Json.Num (float_of_int n)
+
+(* every result file lives in [!results_dir] *)
+let write_json path j =
   ensure_results_dir ();
+  let oc = open_out path in
+  output_string oc (Json.render j ^ "\n");
+  close_out oc
+
+let write_history ~workload j =
   let path =
     Filename.concat !results_dir
       (Printf.sprintf "%s-%s.json" workload (utc_stamp ()))
   in
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
+  write_json path j;
   prune_history workload;
   Format.printf "history snapshot written to %s@\n" path;
   Format.print_flush ()
 
 let detect_json (d : detect_report) =
-  Printf.sprintf
-    "  \"latency_to_detection\": {\n\
-    \    \"workload\": \"wsn n=3, R<=19, streamed counts\",\n\
-    \    \"cached_rechecks\": %d,\n\
-    \    \"cached_p50_us\": %.3f,\n\
-    \    \"cached_p95_us\": %.3f,\n\
-    \    \"reelimination_p50_us\": %.3f,\n\
-    \    \"from_scratch_p50_us\": %.3f,\n\
-    \    \"cached_speedup\": %.1f\n\
-    \  }"
-    d.d_iters d.d_cached_p50_us d.d_cached_p95_us d.d_reelim_p50_us
-    d.d_scratch_p50_us d.d_speedup
+  ( "latency_to_detection",
+    Json.Obj
+      [ ("workload", Json.Str "wsn n=3, R<=19, streamed counts");
+        ("cached_rechecks", int d.d_iters);
+        ("cached_p50_us", num d.d_cached_p50_us);
+        ("cached_p95_us", num d.d_cached_p95_us);
+        ("reelimination_p50_us", num d.d_reelim_p50_us);
+        ("from_scratch_p50_us", num d.d_scratch_p50_us);
+        ("cached_speedup", num d.d_speedup) ] )
+
+let bench_rows_json rows =
+  Json.Arr
+    (List.map
+       (fun r ->
+          Json.Obj
+            [ ("group", Json.Str r.group);
+              ("name", Json.Str r.name);
+              ("samples", int r.samples);
+              ("mean_ns", num r.mean_ns);
+              ("stddev_ns", num r.stddev_ns);
+              ("min_ns", num r.min_ns) ])
+       rows)
 
 let write_results path rows runtime kernel breakdown server el fleet region
     detect =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"schema\": \"tml-bench/1\",\n";
-  add "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-       add
-         "    {\"group\": \"%s\", \"name\": \"%s\", \"samples\": %d, \
-          \"mean_ns\": %.1f, \"stddev_ns\": %.1f, \"min_ns\": %.1f}%s\n"
-         (json_escape r.group) (json_escape r.name) r.samples r.mean_ns
-         r.stddev_ns r.min_ns
-         (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ],\n";
-  add "  \"runtime_scaling\": {\n";
-  add "    \"cores\": %d,\n" runtime.cores;
-  add "    \"workload\": \"8 wsn model-repair jobs, shared parametric model\",\n";
-  add "    \"speedup_cached_vs_naive\": %.3f,\n" runtime.speedup;
-  add "    \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-       add
-         "      {\"name\": \"%s\", \"workers\": %d, \"seconds\": %.6f, \
-          \"identical\": %b}%s\n"
-         (json_escape r.rname) r.workers r.seconds r.identical
-         (if i = List.length runtime.runs - 1 then "" else ","))
-    runtime.runs;
-  add "    ]";
-  let cache_json label = function
-    | None -> ()
+  let cache label = function
+    | None -> []
     | Some c ->
-      add ",\n    \"%s\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d}"
-        label c.Lru_cache.hits c.Lru_cache.misses c.Lru_cache.evictions
+      [ ( label,
+          Json.Obj
+            [ ("hits", int c.Lru_cache.hits);
+              ("misses", int c.Lru_cache.misses);
+              ("evictions", int c.Lru_cache.evictions) ] ) ]
   in
-  cache_json "report_cache" runtime.report_cache;
-  cache_json "elim_cache" runtime.elim_cache;
-  add "\n  },\n";
-  add "  \"kernel_scaling\": {\n";
-  add "    \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  add "    \"benches\": [\n";
-  List.iteri
-    (fun i kb ->
-       add "      {\"name\": \"%s\", \"iters_per_domain\": %d, \"rungs\": [\n"
-         (json_escape kb.k_name) kb.k_iters;
-       List.iteri
-         (fun j r ->
-            let sep = if j = List.length kb.k_rungs - 1 then "" else "," in
-            if r.k_skipped then
-              (* honest marker: this host cannot run the rung, so no
-                 numbers are fabricated for it *)
-              add "        {\"domains\": %d, \"skipped\": true}%s\n" r.k_domains
-                sep
-            else
-              add
-                "        {\"domains\": %d, \"skipped\": false, \
-                 \"ns_per_op\": %.1f, \"ops_per_s\": %.1f, \
-                 \"scaling_x\": %.3f}%s\n"
-                r.k_domains r.k_ns_per_op r.k_ops_per_s r.k_scaling_x sep)
-         kb.k_rungs;
-       add "      ]}%s\n" (if i = List.length kernel - 1 then "" else ","))
-    kernel;
-  add "    ]\n";
-  add "  },\n";
-  add "  \"stage_breakdown\": [\n";
-  List.iteri
-    (fun i r ->
-       add "    {\"span\": \"%s\", \"count\": %d, \"total_s\": %.6f}%s\n"
-         (json_escape r.bname) r.bcount r.btotal_s
-         (if i = List.length breakdown - 1 then "" else ","))
-    breakdown;
-  add "  ],\n";
-  add "  \"region_lifting\": [\n";
-  List.iteri
-    (fun i r ->
-       add
-         "    {\"name\": \"%s\", \"backend\": \"%s\", \"regions\": %d, \
-          \"decided_volume_pct\": %.2f, \"certified_gap_pct\": %.2f, \
-          \"time_to_certificate_s\": %.6f}%s\n"
-         (json_escape r.zname) (json_escape r.zbackend) r.zregions
-         (100.0 *. r.zdecided) (100.0 *. r.zgap) r.zseconds
-         (if i = List.length region - 1 then "" else ","))
-    region;
-  add "  ],\n";
-  add "  \"server_throughput\": {\n";
-  add "    \"clients\": %d,\n" server.sclients;
-  add "    \"requests\": %d,\n" server.srequests;
-  add "    \"dropped\": %d,\n" server.sfailures;
-  add "    \"seconds\": %.6f,\n" server.sseconds;
-  add "    \"requests_per_second\": %.2f,\n" server.rps;
-  add "    \"p50_ms\": %.3f,\n" server.p50_ms;
-  add "    \"p95_ms\": %.3f,\n" server.p95_ms;
-  add "    \"p99_ms\": %.3f\n" server.p99_ms;
-  add "  },\n";
-  add "  \"server_event_loop\": {\n";
-  add "    \"backend\": \"%s\",\n" (json_escape el.el_backend);
-  add "    \"loops\": %d,\n" el.el_loops;
-  let mode_json label (r : server_report) =
-    add
-      "    \"%s\": {\"clients\": %d, \"requests\": %d, \"dropped\": %d, \
-       \"seconds\": %.6f, \"requests_per_second\": %.2f, \"p50_ms\": %.3f, \
-       \"p95_ms\": %.3f, \"p99_ms\": %.3f},\n"
-      label r.sclients r.srequests r.sfailures r.sseconds r.rps r.p50_ms
-      r.p95_ms r.p99_ms
+  let runtime_json =
+    Json.Obj
+      ([ ("cores", int runtime.cores);
+         ("workload", Json.Str "8 wsn model-repair jobs, shared parametric model");
+         ("speedup_cached_vs_naive", num runtime.speedup);
+         ( "runs",
+           Json.Arr
+             (List.map
+                (fun r ->
+                   Json.Obj
+                     [ ("name", Json.Str r.rname);
+                       ("workers", int r.workers);
+                       ("seconds", num r.seconds);
+                       ("identical", Json.Bool r.identical) ])
+                runtime.runs) ) ]
+       @ cache "report_cache" runtime.report_cache
+       @ cache "elim_cache" runtime.elim_cache)
   in
-  mode_json "lockstep_rpc" el.el_throughput;
-  mode_json "pipelined" el.el_pipelined;
-  add "    \"held_connections\": [\n";
-  List.iteri
-    (fun i h ->
-       add
-         "      {\"target\": %d, \"held\": %d, \"requests\": %d, \
-          \"dropped\": %d, \"seconds\": %.6f, \"requests_per_second\": %.2f, \
-          \"p99_ms\": %.3f}%s\n"
-         h.h_target h.h_held h.h_requests h.h_failures h.h_seconds h.h_rps
-         h.h_p99_ms
-         (if i = List.length el.el_held - 1 then "" else ","))
-    el.el_held;
-  add "    ]\n";
-  add "  },\n";
-  add "  \"fleet_throughput\": {\n";
-  let fleet_run_json label r last =
-    add
-      "    \"%s\": {\"nodes\": %d, \"requests\": %d, \"dropped\": %d, \
-       \"seconds\": %.6f, \"requests_per_second\": %.2f, \"p99_ms\": %.3f}%s\n"
-      label r.f_nodes r.f_requests r.f_failures r.f_seconds r.f_rps r.f_p99_ms
-      (if last then "" else ",")
+  let rung r =
+    (* a skipped rung is an honest marker: this host cannot run it, so
+       no numbers are fabricated for it *)
+    Json.Obj
+      (("domains", int r.k_domains) :: ("skipped", Json.Bool r.k_skipped)
+       ::
+       (if r.k_skipped then []
+        else
+          [ ("ns_per_op", num r.k_ns_per_op);
+            ("ops_per_s", num r.k_ops_per_s);
+            ("scaling_x", num r.k_scaling_x) ]))
   in
-  fleet_run_json "single_node" fleet.f_single false;
-  fleet_run_json "four_nodes" fleet.f_four false;
-  fleet_run_json "four_nodes_chaos" fleet.f_chaos false;
-  add "    \"chaos_reroutes\": %d,\n" fleet.f_chaos_reroutes;
-  add "    \"speedup_4v1\": %.3f\n" (fleet.f_four.f_rps /. fleet.f_single.f_rps);
-  add "  },\n";
-  add "%s\n" (detect_json detect);
-  add "}\n";
-  (try Unix.mkdir (Filename.dirname path) 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  let kernel_json =
+    Json.Obj
+      [ ("cores", int (Domain.recommended_domain_count ()));
+        ( "benches",
+          Json.Arr
+            (List.map
+               (fun kb ->
+                  Json.Obj
+                    [ ("name", Json.Str kb.k_name);
+                      ("iters_per_domain", int kb.k_iters);
+                      ("rungs", Json.Arr (List.map rung kb.k_rungs)) ])
+               kernel) ) ]
+  in
+  let breakdown_json =
+    Json.Arr
+      (List.map
+         (fun r ->
+            Json.Obj
+              [ ("span", Json.Str r.bname);
+                ("count", int r.bcount);
+                ("total_s", num r.btotal_s) ])
+         breakdown)
+  in
+  let region_json =
+    Json.Arr
+      (List.map
+         (fun r ->
+            Json.Obj
+              [ ("name", Json.Str r.zname);
+                ("backend", Json.Str r.zbackend);
+                ("regions", int r.zregions);
+                ("decided_volume_pct", num (100.0 *. r.zdecided));
+                ("certified_gap_pct", num (100.0 *. r.zgap));
+                ("time_to_certificate_s", num r.zseconds) ])
+         region)
+  in
+  let server_fields (r : server_report) =
+    [ ("clients", int r.sclients);
+      ("requests", int r.srequests);
+      ("dropped", int r.sfailures);
+      ("seconds", num r.sseconds);
+      ("requests_per_second", num r.rps);
+      ("p50_ms", num r.p50_ms);
+      ("p95_ms", num r.p95_ms);
+      ("p99_ms", num r.p99_ms) ]
+  in
+  let event_loop_json =
+    Json.Obj
+      [ ("backend", Json.Str el.el_backend);
+        ("loops", int el.el_loops);
+        ("lockstep_rpc", Json.Obj (server_fields el.el_throughput));
+        ("pipelined", Json.Obj (server_fields el.el_pipelined));
+        ( "held_connections",
+          Json.Arr
+            (List.map
+               (fun h ->
+                  Json.Obj
+                    [ ("target", int h.h_target);
+                      ("held", int h.h_held);
+                      ("requests", int h.h_requests);
+                      ("dropped", int h.h_failures);
+                      ("seconds", num h.h_seconds);
+                      ("requests_per_second", num h.h_rps);
+                      ("p99_ms", num h.h_p99_ms) ])
+               el.el_held) ) ]
+  in
+  let fleet_run r =
+    Json.Obj
+      [ ("nodes", int r.f_nodes);
+        ("requests", int r.f_requests);
+        ("dropped", int r.f_failures);
+        ("seconds", num r.f_seconds);
+        ("requests_per_second", num r.f_rps);
+        ("p99_ms", num r.f_p99_ms) ]
+  in
+  let fleet_json =
+    Json.Obj
+      [ ("single_node", fleet_run fleet.f_single);
+        ("four_nodes", fleet_run fleet.f_four);
+        ("four_nodes_chaos", fleet_run fleet.f_chaos);
+        ("chaos_reroutes", int fleet.f_chaos_reroutes);
+        ("speedup_4v1", num (fleet.f_four.f_rps /. fleet.f_single.f_rps)) ]
+  in
+  let results =
+    Json.Obj
+      [ ("schema", Json.Str "tml-bench/1");
+        ("benchmarks", bench_rows_json rows);
+        ("runtime_scaling", runtime_json);
+        ("kernel_scaling", kernel_json);
+        ("stage_breakdown", breakdown_json);
+        ("region_lifting", region_json);
+        ("server_throughput", Json.Obj (server_fields server));
+        ("server_event_loop", event_loop_json);
+        ("fleet_throughput", fleet_json);
+        detect_json detect ]
+  in
+  write_json path results;
   Format.printf "@\nresults written to %s@\n" path;
   Format.print_flush ();
-  write_history ~workload:"full" (Buffer.contents b)
+  write_history ~workload:"full" results
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                               *)
@@ -1889,81 +1891,23 @@ let tracked_groups () =
   ]
 
 let write_baseline rows =
-  let b = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"schema\": \"tml-bench-baseline/1\",\n";
-  add "  \"threshold\": %.2f,\n" regression_threshold;
-  add "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i r ->
-       add
-         "    {\"group\": \"%s\", \"name\": \"%s\", \"samples\": %d, \
-          \"mean_ns\": %.1f, \"stddev_ns\": %.1f, \"min_ns\": %.1f}%s\n"
-         (json_escape r.group) (json_escape r.name) r.samples r.mean_ns
-         r.stddev_ns r.min_ns
-         (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  ]\n}\n";
   let path = baseline_path () in
-  (try Unix.mkdir (Filename.dirname path) 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
+  write_json path
+    (Json.Obj
+       [ ("schema", Json.Str "tml-bench-baseline/1");
+         ("threshold", num regression_threshold);
+         ("benchmarks", bench_rows_json rows) ]);
   Format.printf "@\nbaseline written to %s@\n" path;
   Format.print_flush ()
 
-(* Minimal line-oriented reader for the baseline file above: the writer
-   emits one benchmark object per line, so field extraction by substring
-   is exact for the data we produce (names contain no quotes). *)
+(* [(group, name, min_ns)] per tracked bench of a baseline file. *)
 let parse_baseline path =
-  let find_sub line pat =
-    let n = String.length line and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
-  in
-  let str_field line key =
-    Option.map
-      (fun start ->
-         let stop = String.index_from line start '"' in
-         String.sub line start (stop - start))
-      (find_sub line (Printf.sprintf "\"%s\": \"" key))
-  in
-  let num_field line key =
-    Option.map
-      (fun start ->
-         let stop = ref start in
-         let len = String.length line in
-         while
-           !stop < len
-           && (match line.[!stop] with
-               | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-               | _ -> false)
-         do
-           incr stop
-         done;
-         float_of_string (String.sub line start (!stop - start)))
-      (find_sub line (Printf.sprintf "\"%s\": " key))
-  in
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match
-         (str_field line "group", str_field line "name",
-          num_field line "min_ns")
-       with
-       | Some g, Some n, Some m -> rows := (g, n, m) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  let j = Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  List.map
+    (fun r ->
+       Json.(to_str "group" (get "group" r), to_str "name" (get "name" r),
+             to_num "min_ns" (get "min_ns" r)))
+    (Json.to_arr "benchmarks" (Json.get "benchmarks" j))
 
 (* One synthetic row per gated event-loop figure: min_ns is the
    steady-state per-request wall time, so the gate's min_ns ratio catches
@@ -2126,8 +2070,7 @@ let () =
     ignore (server_event_loop ());
     ignore (fleet_throughput ());
     write_history ~workload:"runtime"
-      (Printf.sprintf "{\n  \"schema\": \"tml-bench-runtime/1\",\n%s\n}\n"
-         (detect_json detect));
+      (Json.Obj [ ("schema", Json.Str "tml-bench-runtime/1"); detect_json detect ]);
     exit 0
   end;
   if not bench_only then begin

@@ -747,14 +747,9 @@ let run_batch_cmd suite jobs workers repeat stats retries retry_backoff_ms
                     Printf.printf "TIMED OUT\n")
                (List.combine job_list outcomes)
            done;
-           (match stats with
-            | None -> ()
-            | Some "-" -> print_string (Runtime.stats_json rt); print_newline ()
-            | Some path ->
-              let oc = open_out path in
-              output_string oc (Runtime.stats_json rt);
-              output_char oc '\n';
-              close_out oc);
+           Option.iter
+             (fun path -> write_text path (Json.render (Runtime.stats_json rt) ^ "\n"))
+             stats;
            Ok !all_ok)
        with Sys_error msg -> Error msg
      end)

@@ -12,9 +12,6 @@ let fault_site = function
   | Solve -> Fault.Solve
   | Check -> Fault.Check
 
-let recorder : (stage -> float -> unit) option Atomic.t = Atomic.make None
-let set_recorder r = Atomic.set recorder r
-
 (* ------------------------ cancellation tokens ------------------------ *)
 
 exception Deadline_exceeded
@@ -68,9 +65,7 @@ let time stage f =
   Trace_span.with_span ("stage:" ^ stage_name stage) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let finish () =
-    let dt = Unix.gettimeofday () -. t0 in
-    Metrics.observe (stage_histogram stage) dt;
-    match Atomic.get recorder with None -> () | Some record -> record stage dt
+    Metrics.observe (stage_histogram stage) (Unix.gettimeofday () -. t0)
   in
   match f () with
   | v ->

@@ -1,10 +1,13 @@
 (** Per-stage instrumentation probes for the repair pipeline.
 
-    The repair stack reports wall-clock timings of its expensive stages —
-    [learn] (MLE / parametric MLE), [eliminate] (parametric model checking),
-    [solve] (the repair NLP) and [check] (numeric PCTL verification) — to an
-    installable recorder.  With no recorder installed the probes are free
-    (a single atomic load per stage).
+    The repair stack times its expensive stages — [learn] (MLE /
+    parametric MLE), [eliminate] (parametric model checking), [solve]
+    (the repair NLP) and [check] (numeric PCTL verification).  Each
+    timed stage emits a {!Trace_span} named [stage:<name>] (free when
+    tracing is disabled) and one observation into its
+    [tml_stage_seconds] {!Metrics} histogram.  That histogram is the one
+    record of stage timings: [Runtime_stats] reads its per-runtime stage
+    totals from it.
 
     The probes also serve two fault-tolerance duties:
 
@@ -14,28 +17,16 @@
       job, and {!time} polls it at every stage boundary — a job whose
       deadline expired (or whose future was cancelled) mid-run raises
       {!Deadline_exceeded} / {!Cancelled_in_flight} at the next stage
-      instead of running to completion.
-
-    The runtime layer ([Runtime.Stats]) installs a thread-safe recorder
-    here; recorders may be called concurrently from several domains, and
-    the recorder slot itself is an [Atomic.t] so concurrent installs and
-    probes never tear.
-
-    Since the observability layer landed, every timed stage additionally
-    emits a {!Trace_span} named [stage:<name>] (free when tracing is
-    disabled) and an observation into the [tml_stage_seconds] {!Metrics}
-    histogram.  The plain-recorder interface below is kept as a shim for
-    existing callers ([Runtime_stats]); new code should read stage
-    timings from the metrics registry or a span dump instead. *)
+      instead of running to completion. *)
 
 type stage = Learn | Eliminate | Solve | Check
 
 val stage_name : stage -> string
 (** ["learn"], ["eliminate"], ["solve"], ["check"]. *)
 
-val set_recorder : (stage -> float -> unit) option -> unit
-(** Install (or remove) the process-wide recorder.  The recorder receives
-    the stage and its elapsed wall-clock seconds, once per timed section. *)
+val stage_histogram : stage -> Metrics.histogram
+(** The stage's [tml_stage_seconds] histogram (label [stage=<name>]):
+    one observation per timed section, in seconds. *)
 
 exception Deadline_exceeded
 (** Raised by a stage-boundary checkpoint when the current token's
@@ -61,6 +52,6 @@ val checkpoint : unit -> unit
 val time : stage -> (unit -> 'a) -> 'a
 (** [time stage f] probes the stage's {!Fault} site, polls {!checkpoint},
     then runs [f ()] inside a [stage:<name>] trace span, reporting its
-    duration to the [tml_stage_seconds] histogram and to the recorder (if
-    any).  Exceptions propagate; the duration is still reported and the
-    span is marked errored. *)
+    duration to the [tml_stage_seconds] histogram.  Exceptions
+    propagate; the duration is still reported and the span is marked
+    errored. *)

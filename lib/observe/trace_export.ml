@@ -2,255 +2,76 @@ exception Parse_error of string
 
 (* ------------------------------ emit ------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Hand-laid rather than a rendered [Json.t]: timestamps keep a fixed
+   [%.6f], which the codec's shortest-round-trip numbers would not. *)
 let span_to_json (s : Trace_span.t) =
-  let b = Buffer.create 192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"job\":%s,\"domain\":%d"
-    s.Trace_span.id
+  let ob = Json.Obuf.create ~initial:192 () in
+  let add fmt = Printf.ksprintf (Json.Obuf.add_string ob) fmt in
+  let str v =
+    Json.Obuf.add_char ob '"';
+    Json.escape_into ob v;
+    Json.Obuf.add_char ob '"'
+  in
+  add "{\"id\":%d,\"parent\":%s,\"name\":" s.Trace_span.id
     (match s.Trace_span.parent with
      | None -> "null"
-     | Some p -> string_of_int p)
-    (escape s.Trace_span.name)
-    (match s.Trace_span.job with
-     | None -> "null"
-     | Some j -> Printf.sprintf "\"%s\"" (escape j))
-    s.Trace_span.domain;
+     | Some p -> string_of_int p);
+  str s.Trace_span.name;
+  add ",\"job\":";
+  (match s.Trace_span.job with None -> add "null" | Some j -> str j);
+  add ",\"domain\":%d" s.Trace_span.domain;
   add ",\"wall_s\":%.6f,\"rel_s\":%.6f,\"dur_s\":%.6f" s.Trace_span.wall_s
     s.Trace_span.rel_s s.Trace_span.dur_s;
   (match s.Trace_span.status with
    | Trace_span.Ok -> add ",\"status\":\"ok\""
    | Trace_span.Error msg ->
-     add ",\"status\":\"error\",\"error\":\"%s\"" (escape msg));
+     add ",\"status\":\"error\",\"error\":";
+     str msg);
   add ",\"attrs\":{";
   List.iteri
     (fun i (k, v) ->
-       add "%s\"%s\":\"%s\"" (if i = 0 then "" else ",") (escape k) (escape v))
+       if i > 0 then Json.Obuf.add_char ob ',';
+       str k;
+       Json.Obuf.add_char ob ':';
+       str v)
     s.Trace_span.attrs;
   add "}}";
-  Buffer.contents b
+  Json.Obuf.contents ob
 
 let to_jsonl spans =
   String.concat "" (List.map (fun s -> span_to_json s ^ "\n") spans)
 
 (* ------------------------------ parse ------------------------------ *)
 
-(* A minimal JSON reader — only what the emitter above produces (flat
-   objects of strings / numbers / null, one nested string map), but
-   tolerant of whitespace and field order. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Obj of (string * json) list
-  | Arr of json list
-
-let parse_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error msg) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+let span_of_json j =
+  let open Json in
+  let num name = to_num name (get name j) in
+  let int name = int_of_float (num name) in
+  let opt_str name = Option.map (to_str name) (opt name j) in
+  let status =
+    match to_str "status" (get "status" j) with
+    | "ok" -> Trace_span.Ok
+    | "error" -> Trace_span.Error (Option.value ~default:"" (opt_str "error"))
+    | s -> fail "bad status %S" s
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C at offset %d" c !pos)
+  let attrs =
+    match opt "attrs" j with
+    | Some (Obj kvs) -> List.map (fun (k, v) -> (k, to_str k v)) kvs
+    | None -> []
+    | Some _ -> fail "field \"attrs\": expected an object"
   in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub line !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "bad literal at offset %d" !pos)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some '"' -> Buffer.add_char b '"'; advance ()
-         | Some '\\' -> Buffer.add_char b '\\'; advance ()
-         | Some '/' -> Buffer.add_char b '/'; advance ()
-         | Some 'n' -> Buffer.add_char b '\n'; advance ()
-         | Some 't' -> Buffer.add_char b '\t'; advance ()
-         | Some 'r' -> Buffer.add_char b '\r'; advance ()
-         | Some 'b' -> Buffer.add_char b '\b'; advance ()
-         | Some 'f' -> Buffer.add_char b '\012'; advance ()
-         | Some 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           let hex = String.sub line !pos 4 in
-           pos := !pos + 4;
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'  (* non-ASCII: lossy is fine *)
-            | None -> fail "bad \\u escape")
-         | _ -> fail "bad escape");
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> number_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "bad number at offset %d" start)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        fields []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some _ -> Num (parse_number ())
-    | None -> fail "empty value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail (Printf.sprintf "trailing junk at offset %d" !pos);
-  v
-
-let span_of_json = function
-  | Obj fields ->
-    let get name = List.assoc_opt name fields in
-    let num name =
-      match get name with
-      | Some (Num f) -> f
-      | _ -> raise (Parse_error (Printf.sprintf "missing number %S" name))
-    in
-    let str name =
-      match get name with
-      | Some (Str s) -> s
-      | _ -> raise (Parse_error (Printf.sprintf "missing string %S" name))
-    in
-    let opt_str name =
-      match get name with Some (Str s) -> Some s | _ -> None
-    in
-    let status =
-      match str "status" with
-      | "ok" -> Trace_span.Ok
-      | "error" ->
-        Trace_span.Error (Option.value ~default:"" (opt_str "error"))
-      | s -> raise (Parse_error (Printf.sprintf "bad status %S" s))
-    in
-    let attrs =
-      match get "attrs" with
-      | Some (Obj kvs) ->
-        List.map
-          (fun (k, v) ->
-             match v with
-             | Str s -> (k, s)
-             | _ -> raise (Parse_error "non-string attr"))
-          kvs
-      | None -> []
-      | Some _ -> raise (Parse_error "bad attrs")
-    in
-    {
-      Trace_span.id = int_of_float (num "id");
-      parent =
-        (match get "parent" with
-         | Some (Num f) -> Some (int_of_float f)
-         | _ -> None);
-      name = str "name";
-      job = opt_str "job";
-      domain = int_of_float (num "domain");
-      wall_s = num "wall_s";
-      rel_s = num "rel_s";
-      dur_s = num "dur_s";
-      attrs;
-      status;
-    }
-  | _ -> raise (Parse_error "span line is not an object")
+  {
+    Trace_span.id = int "id";
+    parent = Option.map (fun p -> int_of_float (to_num "parent" p)) (opt "parent" j);
+    name = to_str "name" (get "name" j);
+    job = opt_str "job";
+    domain = int "domain";
+    wall_s = num "wall_s";
+    rel_s = num "rel_s";
+    dur_s = num "dur_s";
+    attrs;
+    status;
+  }
 
 let of_jsonl text =
   let lines = String.split_on_char '\n' text in
@@ -259,17 +80,9 @@ let of_jsonl text =
        (fun i line ->
           if String.trim line = "" then []
           else
-            try [ span_of_json (parse_json line) ] with
-            | Parse_error msg ->
-              raise (Parse_error (Printf.sprintf "line %d: %s" (i + 1) msg))
-            | e ->
-              (* a corrupt line must never escape as an uncaught exception:
-                 whatever the parser tripped on becomes a positioned
-                 Parse_error the CLI can report and exit non-zero on *)
-              raise
-                (Parse_error
-                   (Printf.sprintf "line %d: corrupt span line (%s)" (i + 1)
-                      (Printexc.to_string e))))
+            try [ span_of_json (Json.parse line) ] with
+            | Json.Error msg ->
+              raise (Parse_error (Printf.sprintf "line %d: %s" (i + 1) msg)))
        lines)
 
 (* ------------------------------ render ------------------------------ *)

@@ -24,8 +24,7 @@
 
     All state is process-global and domain-safe: the enabled flag, the
     span-id allocator and the buffer registry are atomics, never plain
-    globals (see the [Instr.set_recorder] hardening this layer rode in
-    with). *)
+    globals. *)
 
 type status =
   | Ok  (** the span's body returned normally *)

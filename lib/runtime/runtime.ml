@@ -30,10 +30,9 @@ let create ?workers ?(queue_capacity = 64) ?(report_cache_capacity = 256)
     else
       Some (Lru_cache.create ~name:"elimination" ~capacity:elim_cache_capacity ())
   in
-  (* Process-global hooks: stage timings, the elimination memo, the fault
-     observer and the intra-job parallel runner.  The runtime owns them
-     until shutdown. *)
-  Instr.set_recorder (Some (Runtime_stats.record_stage stats));
+  (* Process-global hooks: the elimination memo, the fault observer and
+     the intra-job parallel runner.  The runtime owns them until
+     shutdown. *)
   Parallel.set_runner (Some (Pool.run_subtasks pool));
   Fault.set_observer (Some (fun _site -> Runtime_stats.incr stats `Fault_injected));
   Option.iter
@@ -154,8 +153,7 @@ let shutdown ?drain t =
     Parallel.set_runner None;
     Pool.shutdown ?drain t.pool;
     Elimination.set_memo None;
-    Fault.set_observer None;
-    Instr.set_recorder None
+    Fault.set_observer None
   end
 
 let with_runtime ?workers ?queue_capacity ?report_cache_capacity

@@ -4,11 +4,11 @@
     by {!Job.digest}, an elimination cache installed into
     {!Elimination.set_memo} (so repeated parametric queries on structurally
     identical chains skip state elimination entirely, across {e all} repair
-    entry points), and a {!Runtime_stats} collector fed by the {!Instr}
-    stage probes.
+    entry points), and a {!Runtime_stats} collector that reads stage
+    totals from the {!Instr} probes' histograms.
 
-    The elimination memo and stage recorder are process-global hooks; the
-    most recently created runtime owns them, and {!shutdown} uninstalls
+    The elimination memo, fault observer and parallel runner are
+    process-global hooks; the most recently created runtime owns them, and {!shutdown} uninstalls
     them.  Create runtimes one at a time (the intended use: one runtime per
     server process).
 
@@ -86,14 +86,14 @@ val elim_cache_counters : t -> Lru_cache.counters option
 (** Hit/miss/eviction counters of the elimination cache; [None] if
     disabled. *)
 
-val stats_json : t -> string
+val stats_json : t -> Json.t
 (** The full instrumentation dump: job counters, retry/respawn/fault
     counters, queue high-water mark, per-stage wall-clock totals, cache
     hit rates. *)
 
 val shutdown : ?drain:bool -> t -> unit
 (** Shut the pool down ({!Pool.shutdown}) and uninstall the global
-    elimination memo and stage recorder.  Idempotent. *)
+    elimination memo, fault observer and parallel runner.  Idempotent. *)
 
 val with_runtime :
   ?workers:int ->

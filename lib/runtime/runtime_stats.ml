@@ -37,8 +37,8 @@ type t = {
   mutable faults_injected : int;
   mutable report_cache_hits : int;
   mutable max_queue_depth : int;
-  stage_counts : int array;  (* indexed by stage *)
-  stage_totals : float array;
+  stage_base : (Instr.stage * stage_totals) list;
+      (* each stage histogram's (count, sum) when the runtime started *)
 }
 
 (* Every per-runtime counter is mirrored into the process-wide {!Metrics}
@@ -77,13 +77,11 @@ let queue_depth_max_gauge =
   Metrics.gauge "tml_queue_depth_max"
     ~help:"Pool queue depth high-water mark"
 
-let stage_index = function
-  | Instr.Learn -> 0
-  | Instr.Eliminate -> 1
-  | Instr.Solve -> 2
-  | Instr.Check -> 3
-
 let all_stages = [ Instr.Learn; Instr.Eliminate; Instr.Solve; Instr.Check ]
+
+let stage_now stage =
+  let h = Instr.stage_histogram stage in
+  { count = Metrics.histogram_count h; total_s = Metrics.histogram_sum h }
 
 let create () =
   {
@@ -98,8 +96,7 @@ let create () =
     faults_injected = 0;
     report_cache_hits = 0;
     max_queue_depth = 0;
-    stage_counts = Array.make 4 0;
-    stage_totals = Array.make 4 0.0;
+    stage_base = List.map (fun s -> (s, stage_now s)) all_stages;
   }
 
 let locked t f =
@@ -119,12 +116,6 @@ let incr t which =
       | `Respawned -> t.respawned <- t.respawned + 1
       | `Fault_injected -> t.faults_injected <- t.faults_injected + 1
       | `Report_hit -> t.report_cache_hits <- t.report_cache_hits + 1)
-
-let record_stage t stage dt =
-  locked t (fun () ->
-      let i = stage_index stage in
-      t.stage_counts.(i) <- t.stage_counts.(i) + 1;
-      t.stage_totals.(i) <- t.stage_totals.(i) +. dt)
 
 let observe_queue_depth t depth =
   let d = float_of_int depth in
@@ -148,62 +139,61 @@ let snapshot t =
         max_queue_depth = t.max_queue_depth;
         stages =
           List.map
-            (fun s ->
-               let i = stage_index s in
+            (fun (s, base) ->
+               let now = stage_now s in
                ( Instr.stage_name s,
-                 { count = t.stage_counts.(i); total_s = t.stage_totals.(i) } ))
-            all_stages;
+                 { count = now.count - base.count;
+                   total_s = now.total_s -. base.total_s } ))
+            t.stage_base;
       })
 
 (* ------------------------------ JSON ------------------------------ *)
 
-let json_cache name (c : Lru_cache.counters) =
+let json_cache (c : Lru_cache.counters) =
   let total = c.Lru_cache.hits + c.Lru_cache.misses in
   let rate =
     if total = 0 then 0.0
     else float_of_int c.Lru_cache.hits /. float_of_int total
   in
-  Printf.sprintf
-    "\"%s\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \"size\": %d, \
-     \"capacity\": %d, \"hit_rate\": %.4f}"
-    name c.Lru_cache.hits c.Lru_cache.misses c.Lru_cache.evictions
-    c.Lru_cache.size c.Lru_cache.capacity rate
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    [ ("hits", int c.Lru_cache.hits);
+      ("misses", int c.Lru_cache.misses);
+      ("evictions", int c.Lru_cache.evictions);
+      ("size", int c.Lru_cache.size);
+      ("capacity", int c.Lru_cache.capacity);
+      ("hit_rate", Json.Num rate) ]
 
 let to_json ~workers ?report_cache ?elim_cache t =
   let s = snapshot t in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"jobs\": {\"submitted\": %d, \"completed\": %d, \"failed\": %d, \
-        \"cancelled\": %d, \"timed_out\": %d, \"report_cache_hits\": %d},\n"
-       s.submitted s.completed s.failed s.cancelled s.timed_out
-       s.report_cache_hits);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"resilience\": {\"retried\": %d, \"respawned\": %d, \
-        \"faults_injected\": %d},\n"
-       s.retried s.respawned s.faults_injected);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"queue\": {\"max_depth\": %d},\n" s.max_queue_depth);
-  Buffer.add_string buf (Printf.sprintf "  \"workers\": %d,\n" workers);
+  let int n = Json.Num (float_of_int n) in
   let caches =
     List.filter_map
-      (fun x -> x)
-      [ Option.map (json_cache "report") report_cache;
-        Option.map (json_cache "elimination") elim_cache;
-      ]
+      (fun (name, c) -> Option.map (fun c -> (name, json_cache c)) c)
+      [ ("report", report_cache); ("elimination", elim_cache) ]
   in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"caches\": {%s},\n" (String.concat ", " caches));
-  let stages =
-    List.map
-      (fun (name, st) ->
-         Printf.sprintf "\"%s\": {\"count\": %d, \"total_s\": %.6f}" name
-           st.count st.total_s)
-      s.stages
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"stages\": {%s}\n" (String.concat ", " stages));
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Json.Obj
+    [ ( "jobs",
+        Json.Obj
+          [ ("submitted", int s.submitted);
+            ("completed", int s.completed);
+            ("failed", int s.failed);
+            ("cancelled", int s.cancelled);
+            ("timed_out", int s.timed_out);
+            ("report_cache_hits", int s.report_cache_hits) ] );
+      ( "resilience",
+        Json.Obj
+          [ ("retried", int s.retried);
+            ("respawned", int s.respawned);
+            ("faults_injected", int s.faults_injected) ] );
+      ("queue", Json.Obj [ ("max_depth", int s.max_queue_depth) ]);
+      ("workers", int workers);
+      ("caches", Json.Obj caches);
+      ( "stages",
+        Json.Obj
+          (List.map
+             (fun (name, st) ->
+                ( name,
+                  Json.Obj
+                    [ ("count", int st.count); ("total_s", Json.Num st.total_s) ] ))
+             s.stages) ) ]

@@ -1,16 +1,18 @@
 (** Thread-safe instrumentation counters for the repair runtime.
 
-    Collects job counts, queue-depth high-water mark and per-stage
-    wall-clock totals (fed by {!Instr} recorders installed by
-    {!Runtime.create}), and renders everything — together with the cache
-    counters — as a JSON object.
+    Collects job counts and the queue-depth high-water mark, reports
+    per-stage wall-clock totals, and builds everything — together with
+    the cache counters — into one {!Json.t} stats object.
 
     Every per-runtime counter is also mirrored into the process-wide
     {!Metrics} registry under a stable Prometheus name
     ([tml_jobs_submitted_total], [tml_retries_total], …), so metrics
     accumulate across runtime lifetimes while snapshots stay scoped to
-    one runtime.  Stage timings are {e not} mirrored here — {!Instr.time}
-    feeds the [tml_stage_seconds] histogram directly. *)
+    one runtime.  Stage totals go the other way: {!Instr.time} feeds
+    only the [tml_stage_seconds] histograms, and a snapshot reports each
+    histogram's growth since {!create}.  A stage run by anything in the
+    process while the runtime lives counts towards it (another runtime's
+    jobs included), and a {!Metrics.reset} during its life skews it. *)
 
 type t
 (** A mutable counter set owned by one runtime. *)
@@ -46,15 +48,11 @@ type counter =
 (** The events a runtime counts; one snapshot field each. *)
 
 val create : unit -> t
-(** A zeroed counter set. *)
+(** A zeroed counter set; stage totals count from now. *)
 
 val incr : t -> counter -> unit
 (** Count one event, in this runtime and in the global {!Metrics}
     registry.  Thread-safe. *)
-
-val record_stage : t -> Instr.stage -> float -> unit
-(** Add one timed stage run of the given duration (seconds) — the
-    recorder {!Runtime.create} installs into {!Instr.set_recorder}. *)
 
 val observe_queue_depth : t -> int -> unit
 (** Track the queue-depth high-water mark (and the [tml_queue_depth]
@@ -68,7 +66,7 @@ val to_json :
   ?report_cache:Lru_cache.counters ->
   ?elim_cache:Lru_cache.counters ->
   t ->
-  string
-(** A self-contained JSON object: job counters, queue high-water mark,
-    per-stage timings, worker count and (when supplied) cache counters
-    with their hit rates. *)
+  Json.t
+(** One JSON object: [jobs], [resilience] and [queue] counters,
+    [workers], [caches.{report,elimination}] (when supplied, with their
+    [hit_rate]) and [stages.<name>.{count,total_s}]. *)

@@ -342,7 +342,7 @@ let handle t ~client req =
     try
       match req with
       | Wire.Ping -> Wire.Pong
-      | Wire.Stats -> Wire.Stats_reply (Wire.parse (Runtime.stats_json t.runtime))
+      | Wire.Stats -> Wire.Stats_reply (Runtime.stats_json t.runtime)
       | Wire.Submit jr -> do_submit t ~client jr
       | Wire.Poll digest -> do_status t digest
       | Wire.Wait (digest, timeout_s) -> do_wait t digest timeout_s

@@ -73,7 +73,7 @@ type conn = {
   client : int;
   fd : Unix.file_descr;
   dec : Wire.Decoder.t;
-  out : Wire.Obuf.t;  (* frames render straight in, writes drain the front *)
+  out : Json.Obuf.t;  (* frames render straight in, writes drain the front *)
   mutable reading : bool;  (* current poller interest *)
   mutable writing : bool;
   mutable busy : bool;  (* a [`Slow] request is on the executor *)
@@ -184,9 +184,9 @@ let update_interest t loop conn =
   if not conn.closed then begin
     let read =
       (not conn.busy) && (not conn.closing)
-      && Wire.Obuf.length conn.out < t.max_write_buffer
+      && Json.Obuf.length conn.out < t.max_write_buffer
     in
-    let write = Wire.Obuf.length conn.out > 0 in
+    let write = Json.Obuf.length conn.out > 0 in
     if read <> conn.reading || write <> conn.writing then begin
       conn.reading <- read;
       conn.writing <- write;
@@ -202,9 +202,9 @@ let close_conn t loop conn =
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     Hashtbl.remove loop.conns (fd_int conn.fd);
     locked t.clients_mutex (fun () -> Hashtbl.remove t.clients conn.client);
-    let buffered = Wire.Obuf.length conn.out in
+    let buffered = Json.Obuf.length conn.out in
     if buffered > 0 then wq_add t (-buffered);
-    Wire.Obuf.clear conn.out;
+    Json.Obuf.clear conn.out;
     let n = Atomic.fetch_and_add t.conn_count (-1) - 1 in
     Metrics.set_gauge conn_gauge (float_of_int n);
     try t.handler.on_disconnect ~client:conn.client with _ -> ()
@@ -217,12 +217,12 @@ let close_conn t loop conn =
 let flush t loop conn =
   if not conn.closed then begin
     let err = ref false and blocked = ref false and progressed = ref false in
-    while (not (!err || !blocked)) && Wire.Obuf.length conn.out > 0 do
-      let buf, off, len = Wire.Obuf.peek conn.out in
+    while (not (!err || !blocked)) && Json.Obuf.length conn.out > 0 do
+      let buf, off, len = Json.Obuf.peek conn.out in
       match Unix.write conn.fd buf off len with
       | n ->
         progressed := true;
-        Wire.Obuf.consume conn.out n;
+        Json.Obuf.consume conn.out n;
         wq_add t (-n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -231,7 +231,7 @@ let flush t loop conn =
     done;
     if !progressed then conn.last_tx <- now ();
     if !err then close_conn t loop conn
-    else if Wire.Obuf.length conn.out = 0 && conn.closing then
+    else if Json.Obuf.length conn.out = 0 && conn.closing then
       close_conn t loop conn
     else update_interest t loop conn
   end
@@ -249,7 +249,7 @@ let enqueue_reply ?(immediate = true) t loop conn ~id ~t0 resp =
     let resp =
       match Fault.at Fault.Write with
       | () ->
-        if Wire.Obuf.length conn.out > t.max_write_buffer then begin
+        if Json.Obuf.length conn.out > t.max_write_buffer then begin
           Admission.note_shed ();
           Wire.Error_reply
             (Wire.err_of_exn
@@ -307,7 +307,7 @@ let exec_submit t task =
 let rec drain_frames t loop conn =
   if
     conn.closed || conn.closing || conn.busy
-    || Wire.Obuf.length conn.out >= t.max_write_buffer
+    || Json.Obuf.length conn.out >= t.max_write_buffer
     || Atomic.get t.stop
   then flush t loop conn  (* batch boundary: push buffered replies out *)
   else
@@ -391,7 +391,7 @@ let on_readable t loop conn =
         if
           n < Bytes.length loop.rbuf
           || conn.busy || conn.closing
-          || Wire.Obuf.length conn.out >= t.max_write_buffer
+          || Json.Obuf.length conn.out >= t.max_write_buffer
         then continue := false
       | exception
           Unix.Unix_error
@@ -430,7 +430,7 @@ let register_conn t loop fd =
         client;
         fd;
         dec = Wire.Decoder.create ~max_frame:t.max_frame ();
-        out = Wire.Obuf.create ();
+        out = Json.Obuf.create ();
         reading = true;
         writing = false;
         busy = false;
@@ -508,14 +508,14 @@ let process_msg t loop = function
       if not conn.closed then
         if Atomic.get t.stop then begin
           conn.closing <- true;
-          if Wire.Obuf.length conn.out = 0 then close_conn t loop conn
+          if Json.Obuf.length conn.out = 0 then close_conn t loop conn
           else update_interest t loop conn
         end
         else drain_frames t loop conn
     end
   | Push (conn, j) ->
     if not (conn.closed || conn.closing) then
-      if Wire.Obuf.length conn.out > t.max_write_buffer then
+      if Json.Obuf.length conn.out > t.max_write_buffer then
         (* slow subscriber at the cap: shed the push rather than grow the
            queue without bound — the watch replay log covers the gap *)
         Metrics.incr push_shed_counter
@@ -552,7 +552,7 @@ let sweep_deadlines t loop tnow =
             && Wire.Decoder.mid_frame c.dec
             && tnow -. c.last_rx > t.read_timeout_s
           then stalled := c :: !stalled
-          else if Wire.Obuf.length c.out > 0 && tnow -. c.last_tx > t.write_timeout_s
+          else if Json.Obuf.length c.out > 0 && tnow -. c.last_tx > t.write_timeout_s
           then dead := c :: !dead)
       loop.conns;
     List.iter
@@ -581,7 +581,7 @@ let begin_stop t loop =
     (fun c ->
       if not (c.closed || c.busy) then begin
         c.closing <- true;
-        if Wire.Obuf.length c.out = 0 then close_conn t loop c else flush t loop c
+        if Json.Obuf.length c.out = 0 then close_conn t loop c else flush t loop c
       end)
     all
 
@@ -594,7 +594,7 @@ let run_loop t loop () =
       let idle =
         Hashtbl.fold
           (fun _ c acc ->
-            if (not c.busy) && Wire.Obuf.length c.out = 0 then c :: acc else acc)
+            if (not c.busy) && Json.Obuf.length c.out = 0 then c :: acc else acc)
           loop.conns []
       in
       List.iter (fun c -> close_conn t loop c) idle

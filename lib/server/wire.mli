@@ -23,6 +23,8 @@ val default_max_frame : int
 (** Default frame-size cap (16 MiB). *)
 
 exception Protocol_error of string
+(** The same exception as {!Json.Error}: malformed JSON and bad
+    envelopes, framing and fields raise it alike. *)
 
 exception Peer_closed of string
 (** The peer vanished mid-exchange: a connection closed {e mid}-frame on
@@ -31,9 +33,12 @@ exception Peer_closed of string
     re-route logic) can classify peer death as transient without string
     matching; {!err_of_exn} maps it to a transient ["unreachable"]. *)
 
-(** {1 JSON} *)
+(** {1 JSON}
 
-type json =
+    The codec itself is {!Json}; these are the names Wire's clients
+    use for it. *)
+
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -42,67 +47,20 @@ type json =
   | Obj of (string * json) list
 
 val render : json -> string
-(** Compact single-line rendering. *)
+(** {!Json.render}: compact single-line rendering. *)
 
 val parse : string -> json
-(** @raise Protocol_error with a byte offset on malformed input. *)
-
-(** {1 Output buffering}
-
-    A growable byte window with a consumable front: the server renders
-    reply frames straight into a connection's [Obuf] and writes straight
-    out of it, so a reply body never exists as an intermediate frame
-    string (the zero-copy reply path). *)
-
-module Obuf : sig
-  type t
-
-  val create : ?initial:int -> unit -> t
-  (** An empty buffer; [initial] (default 4096) is the starting
-      capacity. *)
-
-  val length : t -> int
-  (** Bytes currently buffered (appended and not yet consumed). *)
-
-  val add_char : t -> char -> unit
-  val add_string : t -> string -> unit
-
-  val add_substring : t -> string -> int -> int -> unit
-  (** [add_substring t s off n] appends [s.[off..off+n)]. *)
-
-  val reserve_u32 : t -> int
-  (** Append a 4-byte placeholder and return a mark for {!patch_u32}.
-      The mark is a window-relative offset: it stays valid across
-      further appends (which may move the underlying storage), but only
-      until the next {!consume} or {!clear}. *)
-
-  val patch_u32 : t -> int -> int -> unit
-  (** [patch_u32 t mark v] overwrites the placeholder at [mark] with [v]
-      as big-endian.  @raise Invalid_argument on an out-of-window mark. *)
-
-  val contents : t -> string
-  (** Copy of the buffered window (does not consume). *)
-
-  val peek : t -> Bytes.t * int * int
-  (** [(buf, off, len)]: the live window, for handing directly to
-      [Unix.write].  Invalidated by any append. *)
-
-  val consume : t -> int -> unit
-  (** Discard [n] bytes from the front (they were written out). *)
-
-  val clear : t -> unit
-  (** Drop everything buffered. *)
-end
-
-val render_into : Obuf.t -> json -> unit
-(** {!render}, appending to an [Obuf] instead of allocating a string. *)
-
-val frame_into : Obuf.t -> json -> int
-(** Append one length-prefixed frame (4-byte big-endian header plus
-    rendered body) and return its total size in bytes. *)
+(** {!Json.parse}.  @raise Protocol_error with a byte offset on
+    malformed input. *)
 
 val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] on missing fields or non-objects. *)
+(** {!Json.member}: field lookup on an [Obj]; [None] on missing fields
+    or non-objects. *)
+
+val frame_into : Json.Obuf.t -> json -> int
+(** Append one length-prefixed frame (4-byte big-endian header plus
+    rendered body) to a {!Json.Obuf} and return its total size in
+    bytes — the server's zero-copy reply path. *)
 
 (** {1 Framing} *)
 

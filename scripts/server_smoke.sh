@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test for the repair service: start `tml serve` on a Unix socket,
 # drive a 20-request mixed client batch covering all four repair kinds,
-# assert every request succeeds, then SIGTERM the server and assert a
-# clean drain (exit 0, "drained" in the output).
+# assert every request succeeds and the stats reply counts eliminate
+# stages, check that a traced `tml batch` dump loads back into
+# `tml trace --summary`, then SIGTERM the server and assert a clean
+# drain (exit 0, "drained" in the output).
 #
 # With --chaos the server is started with fault injection armed at the
 # connection read and write sites; individual requests may fail with
@@ -132,7 +134,24 @@ else
   DIGEST=$(client check -m "$WORK/model.dtmc" -p "P>=0.25 [ F goal ]" --async | awk '{print $1}')
   client wait --job "$DIGEST" --timeout 30 > /dev/null
   echo "async submit + wait ok (job $DIGEST)"
+  # the server's stats reply carries per-stage totals; the batch's model
+  # and data repairs ran parametric elimination
+  STATS=$(client stats)
+  echo "$STATS" | grep -Eq '"stages":\{.*"eliminate":\{"count":[1-9]' \
+    || { echo "FAIL: stats show no eliminate stage: $STATS"; exit 1; }
+  echo "stats report eliminate stage runs"
 fi
+
+# ----------------------------------------------------------------------
+# Trace export round trip: a traced batch's JSONL dump must load back
+# into `tml trace --summary` with its stage spans.
+# ----------------------------------------------------------------------
+
+"$TML" batch --suite wsn --jobs 2 --trace-out "$WORK/trace.jsonl" > /dev/null
+SUMMARY=$("$TML" trace --summary "$WORK/trace.jsonl")
+echo "$SUMMARY" | grep -q "stage:eliminate" \
+  || { echo "FAIL: trace summary lists no stage:eliminate"; echo "$SUMMARY"; exit 1; }
+echo "trace export loads back with stage:eliminate spans"
 
 # ----------------------------------------------------------------------
 # Graceful drain: SIGTERM, then the server must exit 0 on its own with

@@ -299,14 +299,27 @@ let test_jsonl_round_trip () =
         spans parsed)
 
 let test_jsonl_rejects_garbage () =
-  try
-    ignore
-      (Trace_export.of_jsonl
-         (Trace_export.span_to_json golden_span ^ "\nnot json\n")
-        : Trace_span.t list);
-    Alcotest.fail "malformed line must raise"
-  with Trace_export.Parse_error msg ->
-    Alcotest.(check bool) "error names the line" true (contains msg "line 2")
+  let good = Trace_export.span_to_json golden_span in
+  List.iter
+    (fun (what, bad) ->
+       match Trace_export.of_jsonl (good ^ "\n" ^ bad ^ "\n") with
+       | _ -> Alcotest.failf "%s: malformed line must raise" what
+       | exception Trace_export.Parse_error msg ->
+         Alcotest.(check bool) (what ^ ": error names the line") true
+           (contains msg "line 2"))
+    [ ("not json", "not json");
+      ("deep nesting", String.make 1_000_000 '[') ]
+
+(* Non-ASCII escapes decode to UTF-8 (the trace dump's old private
+   reader turned them into '?'). *)
+let test_jsonl_unicode_escape () =
+  let line =
+    {|{"id":1,"parent":null,"name":"caf\u00e9","job":null,"domain":0,|}
+    ^ {|"wall_s":1.0,"rel_s":0.0,"dur_s":0.0,"status":"ok","attrs":{}}|}
+  in
+  match Trace_export.of_jsonl line with
+  | [ s ] -> Alcotest.(check string) "escape decoded" "café" s.Trace_span.name
+  | _ -> Alcotest.fail "expected one span"
 
 let mk ?parent ?job ?(attrs = []) ?(status = Trace_span.Ok) ~id ~rel ~dur name =
   {
@@ -473,6 +486,8 @@ let () =
           Alcotest.test_case "jsonl round trip" `Quick test_jsonl_round_trip;
           Alcotest.test_case "jsonl rejects garbage" `Quick
             test_jsonl_rejects_garbage;
+          Alcotest.test_case "jsonl unicode escape" `Quick
+            test_jsonl_unicode_escape;
           Alcotest.test_case "tree golden" `Quick test_tree_golden;
           Alcotest.test_case "orphans become roots" `Quick
             test_tree_orphans_become_roots;

@@ -294,17 +294,29 @@ let test_runtime_stage_timings () =
         (elim.Runtime_stats.total_s >= 0.0);
       Alcotest.(check bool) "solver observed" true (solve.Runtime_stats.count >= 1);
       let json = Runtime.stats_json rt in
-      let contains needle =
-        let nl = String.length needle and jl = String.length json in
-        let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
-        go 0
+      let rec path j = function
+        | [] -> Some j
+        | k :: rest -> Option.bind (Json.member k j) (fun v -> path v rest)
       in
       List.iter
-        (fun needle ->
+        (fun keys ->
            Alcotest.(check bool)
-             (Printf.sprintf "stats json mentions %s" needle)
-             true (contains needle))
-        [ "\"jobs\""; "\"eliminate\""; "\"hit_rate\""; "\"workers\": 1" ])
+             (Printf.sprintf "stats json has %s" (String.concat "." keys))
+             true (path json keys <> None))
+        [ [ "jobs" ]; [ "stages"; "eliminate" ]; [ "caches"; "report"; "hit_rate" ] ];
+      Alcotest.(check bool) "stats json workers = 1" true
+        (Json.member "workers" json = Some (Json.Num 1.0)))
+
+(* Stage totals are per runtime even when runtimes overlap: shutting
+   down a second runtime must not stop the first from seeing its own
+   stages. *)
+let test_stage_totals_survive_other_runtime () =
+  Runtime.with_runtime ~workers:1 (fun a ->
+      Runtime.shutdown (Runtime.create ~workers:1 ());
+      let _ = Runtime.run_batch a (repair_jobs [ 0.5 ]) in
+      let elim = List.assoc "eliminate" (Runtime.stats a).Runtime_stats.stages in
+      Alcotest.(check bool) "eliminate counted after another runtime's shutdown"
+        true (elim.Runtime_stats.count >= 1))
 
 let test_runtime_cache_disabled () =
   let jobs = repair_jobs [ 0.5; 0.5 ] in
@@ -430,6 +442,8 @@ let () =
           Alcotest.test_case "report cache on repeat" `Quick
             test_report_cache_hits_on_repeat;
           Alcotest.test_case "stage timings" `Quick test_runtime_stage_timings;
+          Alcotest.test_case "stage totals survive another runtime" `Quick
+            test_stage_totals_survive_other_runtime;
           Alcotest.test_case "caches disabled" `Quick
             test_runtime_cache_disabled;
           Alcotest.test_case "full queue sheds Overloaded" `Quick

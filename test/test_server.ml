@@ -84,12 +84,107 @@ let test_json_roundtrip () =
   (match Wire.parse {|"éA"|} with
    | Wire.Str s -> Alcotest.(check string) "utf8 escape" "\xc3\xa9A" s
    | _ -> Alcotest.fail "expected a string");
+  (* a UTF-16 surrogate pair is one code point: one 4-byte sequence *)
+  (match Wire.parse {|"\ud83d\uDE00!"|} with
+   | Wire.Str s ->
+     Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80!" s
+   | _ -> Alcotest.fail "expected a string");
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "nesting at the bound parses" true
+    (Wire.parse (nested Json.max_depth) <> Wire.Null);
   List.iter
     (fun bad ->
        match Wire.parse bad with
        | exception Wire.Protocol_error _ -> ()
        | _ -> Alcotest.failf "garbage %S should not parse" bad)
-    [ "{"; "[1,]"; "\"unterminated"; "nulll"; "{\"a\" 1}"; "1 2"; "" ]
+    [ "{"; "[1,]"; "\"unterminated"; "nulll"; "{\"a\" 1}"; "1 2"; "";
+      {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|}; {|"\ude00"|};
+      {|"\u00_1"|}; nested (Json.max_depth + 1) ];
+  (* a deep frame is refused at the bound, not after a full descent *)
+  let t0 = Unix.gettimeofday () in
+  (match Wire.parse (String.make 8_000_000 '[') with
+   | exception Wire.Protocol_error msg ->
+     Alcotest.(check string) "deep input names the bound"
+       "JSON: nesting deeper than 512 at byte 512" msg
+   | _ -> Alcotest.fail "8M nested brackets should not parse");
+  Alcotest.(check bool) "deep input rejected quickly" true
+    (Unix.gettimeofday () -. t0 < 1.0)
+
+(* The codec's two hostile-input properties, seeded: every generated
+   tree survives render/parse unchanged, and a byte-mutated rendering
+   either parses or raises the protocol error — nothing else escapes.
+   Wire frames, trace dumps and bench baselines all go through this
+   one parser. *)
+let gen_json =
+  let open QCheck2.Gen in
+  let fragment =
+    oneof
+      [ map (String.make 1) char;
+        oneofl
+          [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x1f"; "\x7f"; "/";
+            "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "plain" ] ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 6) fragment) in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let leaf =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Num (float_of_int n)) int;
+        map (fun f -> Json.Num (finite f)) float;
+        map (fun s -> Json.Str s) str ]
+  in
+  sized
+  @@ fix (fun self n ->
+      if n <= 1 then leaf
+      else
+        let items g = list_size (int_range 0 4) g in
+        frequency
+          [ (2, leaf);
+            (1, map (fun l -> Json.Arr l) (items (self (n / 3))));
+            (1, map (fun l -> Json.Obj l) (items (pair str (self (n / 3))))) ])
+
+(* flip (xor), insert, delete or truncate at [at mod length] *)
+let mutate s ops =
+  List.fold_left
+    (fun s (op, at, c) ->
+       let n = String.length s in
+       let i = if n = 0 then 0 else at mod n in
+       let rest k = String.sub s k (n - k) in
+       match op with
+       | 0 when n > 0 ->
+         String.sub s 0 i
+         ^ String.make 1 (Char.chr (Char.code s.[i] lxor Char.code c))
+         ^ rest (i + 1)
+       | 1 -> String.sub s 0 i ^ String.make 1 c ^ rest i
+       | 2 when n > 0 -> String.sub s 0 i ^ rest (i + 1)
+       | _ -> String.sub s 0 i)
+    s ops
+
+let json_props =
+  let seeded test =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2018 |]) test
+  in
+  let gen_op =
+    QCheck2.Gen.(
+      triple (int_range 0 3) nat
+        (oneof
+           [ char; oneofl [ '['; '{'; '"'; '\\'; 'u'; 'd'; '8'; ','; ':'; '0' ] ]))
+  in
+  [ seeded
+      (QCheck2.Test.make ~name:"json round-trip: parse . render = id"
+         ~count:500 ~print:Json.render gen_json (fun j ->
+             Json.parse (Json.render j) = j));
+    seeded
+      (QCheck2.Test.make ~name:"json round-trip: mutated input fails cleanly"
+         ~count:2000
+         ~print:(fun (j, ops) -> String.escaped (mutate (Json.render j) ops))
+         QCheck2.Gen.(pair gen_json (list_size (int_range 1 3) gen_op))
+         (fun (j, ops) ->
+            match Json.parse (mutate (Json.render j) ops) with
+            | _ | (exception Json.Error _) -> true
+            | exception e ->
+              QCheck2.Test.fail_reportf "escaped %s" (Printexc.to_string e))) ]
 
 let test_frame_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -493,12 +588,34 @@ let test_protocol_error_over_live_server () =
             | _ -> Alcotest.fail "expected an error reply")
         | _ -> Alcotest.fail "expected a frame");
        Wire.write_frame fd (Wire.request_to_json ~id:6 Wire.Ping);
+       (match Wire.read_frame fd with
+        | `Frame j -> (
+            match Wire.response_of_json j with
+            | 6, Wire.Pong -> ()
+            | _ -> Alcotest.fail "ping after protocol error should still work")
+        | _ -> Alcotest.fail "expected a pong frame");
+       (* a ~2 MB frame of nested brackets is parsed on the event loop:
+          it must be refused at the nesting bound, not stall the loop *)
+       Client.with_client addr @@ fun other ->
+       let payload = String.make 2_000_000 '[' in
+       let frame = Bytes.create (4 + String.length payload) in
+       Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
+       Bytes.blit_string payload 0 frame 4 (String.length payload);
+       let t0 = Unix.gettimeofday () in
+       ignore (Unix.write fd frame 0 (Bytes.length frame) : int);
+       Client.ping other;
+       Alcotest.(check bool) "other client answered meanwhile" true
+         (Unix.gettimeofday () -. t0 < 1.0);
        match Wire.read_frame fd with
        | `Frame j -> (
            match Wire.response_of_json j with
-           | 6, Wire.Pong -> ()
-           | _ -> Alcotest.fail "ping after protocol error should still work")
-       | _ -> Alcotest.fail "expected a pong frame")
+           | _, Wire.Error_reply e ->
+             Alcotest.(check string) "deep frame: protocol error" "protocol"
+               e.Wire.kind;
+             Alcotest.(check bool) "deep frame answered within 1 s" true
+               (Unix.gettimeofday () -. t0 < 1.0)
+           | _ -> Alcotest.fail "expected an error reply to the deep frame")
+       | _ -> Alcotest.fail "expected a frame")
 
 (* ------------------------------- chaos -------------------------------- *)
 
@@ -991,21 +1108,21 @@ let test_unknown_push_kind_ignored () =
    (reserve length word, add body, patch the word) must survive a
    compact-then-grow between the reserve and the patch. *)
 let test_obuf_compaction_across_reserve_patch () =
-  let ob = Wire.Obuf.create ~initial:32 () in
+  let ob = Json.Obuf.create ~initial:32 () in
   let first = Wire.Str "0123456789-first-frame" in
   ignore (Wire.frame_into ob first : int);
   (* partial socket write: 7 bytes of frame 1 left the buffer *)
-  let b, o, _len = Wire.Obuf.peek ob in
+  let b, o, _len = Json.Obuf.peek ob in
   let sent = Bytes.sub_string b o 7 in
-  Wire.Obuf.consume ob 7;
+  Json.Obuf.consume ob 7;
   (* now render a frame large enough to force a grow — with the head
      advanced, [ensure] compacts first, moving the reserved mark's
      bytes; the patch must still land on the length word *)
-  let mark = Wire.Obuf.reserve_u32 ob in
+  let mark = Json.Obuf.reserve_u32 ob in
   let body = Wire.render (Wire.Str (String.make 200 'x')) in
-  Wire.Obuf.add_string ob body;
-  Wire.Obuf.patch_u32 ob mark (String.length body);
-  let stream = sent ^ Wire.Obuf.contents ob in
+  Json.Obuf.add_string ob body;
+  Json.Obuf.patch_u32 ob mark (String.length body);
+  let stream = sent ^ Json.Obuf.contents ob in
   let d = Wire.Decoder.create () in
   let bytes = Bytes.of_string stream in
   Wire.Decoder.feed d bytes 0 (Bytes.length bytes);
@@ -1023,6 +1140,9 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+        ]
+        @ json_props
+        @ [
           Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "oversized and garbage frames" `Quick
             test_frame_oversized_and_garbage;
