@@ -1,4 +1,4 @@
-.PHONY: all test lint-knobs region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke doc docs-check clean
+.PHONY: all test lint-knobs lint-unreached region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke doc docs-check clean
 
 all:
 	dune build @all
@@ -15,6 +15,11 @@ lint-knobs:
 	  exit 1; \
 	fi
 	@echo "lint-knobs: ok"
+
+# Every lib/ module must be reached from lib/, bin/, bench/, examples/ or
+# perfbench/; fail on one that only its own tests name.
+lint-unreached:
+	scripts/lint_unreached.sh
 
 # Region backend only: interval edge cases, certified repair, and the
 # differential verdict-soundness suite against the exact checker.

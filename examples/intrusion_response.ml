@@ -96,7 +96,8 @@ let () =
 
   section "Trajectory rule check on rollouts";
   let rule =
-    Rule_parser.parse "G (compromised => false)" (* i.e. never compromised *)
+    Trace_logic.(Always (Implies (Atom (Label "compromised"), False)))
+    (* i.e. never compromised *)
   in
   let safe_policy = [| "monitor"; "patch"; "isolate"; "isolate"; "stay"; "stay" |] in
   Format.printf "rule %s on every branch of the aggressive policy (20 steps): %b@\n"

@@ -229,6 +229,22 @@ let test_car_e6_projection () =
   in
   Alcotest.(check bool) "distance weight increased" true (theta'.(1) > theta.(1))
 
+(* ---------------- Experiments driver sanity ---------------- *)
+
+let test_experiment_rows () =
+  (* quick structural experiments only (the expensive ones are covered by
+     the wsn and car groups above) *)
+  let f1 = Experiments.f1 () in
+  Alcotest.(check string) "id" "F1" f1.Experiments.id;
+  Alcotest.(check bool) "ok" true f1.Experiments.ok;
+  let e1 = Experiments.e1 () in
+  Alcotest.(check bool) "e1 ok" true e1.Experiments.ok;
+  let e3 = Experiments.e3 () in
+  Alcotest.(check bool) "e3 ok" true e3.Experiments.ok;
+  (* the table renders *)
+  let s = Format.asprintf "%a" Experiments.print_rows [ f1; e1; e3 ] in
+  Alcotest.(check bool) "renders" true (String.length s > 100)
+
 let () =
   Alcotest.run "casestudies"
     [ ( "wsn",
@@ -247,4 +263,6 @@ let () =
           Alcotest.test_case "E5: reward repair" `Quick test_car_e5_reward_repair;
           Alcotest.test_case "E6: projection (Prop. 4)" `Quick test_car_e6_projection;
         ] );
+      ( "experiments driver",
+        [ Alcotest.test_case "rows" `Quick test_experiment_rows ] );
     ]

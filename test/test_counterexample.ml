@@ -1,5 +1,4 @@
-(* Tests for Counterexample (most-probable paths, smallest witnesses) and
-   Local_repair (§VII localized changes). *)
+(* Tests for Counterexample (most-probable paths, smallest witnesses). *)
 
 let branch () =
   Dtmc.make ~n:3 ~init:0
@@ -90,70 +89,11 @@ let test_smallest_counterexample_accumulates () =
     Alcotest.(check (float 1e-12)) "mass consistent" s w.Counterexample.total_mass
   | None -> Alcotest.fail "expected a witness"
 
-(* ---------------- Local repair ---------------- *)
-
-let spec hi =
-  {
-    Model_repair.variables = [ ("v", 0.0, hi) ];
-    deltas = [ (0, 1, Ratfun.var "v"); (0, 2, Ratfun.neg (Ratfun.var "v")) ];
-  }
-
-let test_local_repair_feasible () =
-  let d = branch () in
-  match Local_repair.repair d (Pctl_parser.parse "P>=0.5 [ F goal ]") (spec 0.6) with
-  | Local_repair.Repaired r ->
-    Alcotest.(check (float 1e-4)) "v* = 0.2" 0.2 (List.assoc "v" r.Model_repair.assignment);
-    Alcotest.(check bool) "verified" true r.Model_repair.verified;
-    Alcotest.(check (float 1e-3)) "achieved" 0.5 r.Model_repair.achieved_value
-  | _ -> Alcotest.fail "expected Repaired"
-
-let test_local_repair_matches_nlp () =
-  (* on the WSN E2 problem the local solver finds a repair of comparable
-     cost to the NLP *)
-  let p = Wsn.default_params in
-  let chain = Wsn.chain p in
-  let sp = Wsn.repair_spec p in
-  match
-    ( Local_repair.repair chain (Wsn.property 40) sp,
-      Model_repair.repair chain (Wsn.property 40) sp )
-  with
-  | Local_repair.Repaired local, Model_repair.Repaired nlp ->
-    Alcotest.(check bool) "local verified" true local.Model_repair.verified;
-    Alcotest.(check bool) "cost within 2x of NLP" true
-      (local.Model_repair.cost <= 2.0 *. nlp.Model_repair.cost +. 1e-9)
-  | _ -> Alcotest.fail "both solvers should succeed"
-
-let test_local_repair_infeasible_and_validation () =
-  let d = branch () in
-  (match Local_repair.repair d (Pctl_parser.parse "P>=0.9 [ F goal ]") (spec 0.1) with
-   | Local_repair.Infeasible { residual_violation } ->
-     Alcotest.(check bool) "violation positive" true (residual_violation > 0.0)
-   | _ -> Alcotest.fail "expected Infeasible");
-  (match Local_repair.repair d (Pctl_parser.parse "P>=0.25 [ F goal ]") (spec 0.6) with
-   | Local_repair.Already_satisfied (Some v) ->
-     Alcotest.(check (float 1e-9)) "value" 0.3 v
-   | _ -> Alcotest.fail "expected Already_satisfied");
-  let bad_spec =
-    {
-      Model_repair.variables = [ ("v", 0.1, 0.6) ];
-      deltas = [ (0, 1, Ratfun.var "v"); (0, 2, Ratfun.neg (Ratfun.var "v")) ];
-    }
-  in
-  match Local_repair.repair d (Pctl_parser.parse "P>=0.5 [ F goal ]") bad_spec with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "nonzero lower bound rejected"
-
 let () =
   Alcotest.run "counterexample"
     [ ( "paths",
         [ Alcotest.test_case "most probable" `Quick test_most_probable_paths;
           Alcotest.test_case "smallest witness" `Quick test_smallest_counterexample;
           Alcotest.test_case "accumulation" `Quick test_smallest_counterexample_accumulates;
-        ] );
-      ( "local repair",
-        [ Alcotest.test_case "feasible" `Quick test_local_repair_feasible;
-          Alcotest.test_case "matches NLP on E2" `Quick test_local_repair_matches_nlp;
-          Alcotest.test_case "infeasible/validation" `Quick
-            test_local_repair_infeasible_and_validation;
         ] );
     ]

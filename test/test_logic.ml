@@ -186,79 +186,6 @@ let test_tl_print () =
     "G (state=1 => action=left)"
     (TL.to_string (TL.takes_action_in 1 "left"))
 
-(* ---------------- Rule_parser ---------------- *)
-
-let rule = Alcotest.testable (fun fmt f -> Format.pp_print_string fmt (TL.to_string f)) ( = )
-
-let test_rule_parser_atoms () =
-  Alcotest.check rule "true" TL.True (Rule_parser.parse "true");
-  Alcotest.check rule "state" (TL.Atom (TL.State_is 2)) (Rule_parser.parse "state=2");
-  Alcotest.check rule "action" (TL.Atom (TL.Action_is "left"))
-    (Rule_parser.parse "action=left");
-  Alcotest.check rule "label" (TL.Atom (TL.Label "unsafe")) (Rule_parser.parse "unsafe");
-  Alcotest.check rule "step" (TL.Atom (TL.Step (1, "fwd")))
-    (Rule_parser.parse "(state=1,action=fwd)");
-  Alcotest.check rule "step with spaces" (TL.Atom (TL.Step (1, "fwd")))
-    (Rule_parser.parse "( state=1, action=fwd )");
-  (* a parenthesised plain atom is grouping, not a step *)
-  Alcotest.check rule "grouped state atom" (TL.Atom (TL.State_is 1))
-    (Rule_parser.parse "(state=1)")
-
-let test_rule_parser_temporal () =
-  Alcotest.check rule "never unsafe"
-    (TL.Always (TL.Not (TL.Atom (TL.Label "unsafe"))))
-    (Rule_parser.parse "G !unsafe");
-  Alcotest.check rule "paper safety rule (printed form)"
-    (TL.avoids_states [ 2; 10 ])
-    (Rule_parser.parse "G !(state=2 | state=10)");
-  Alcotest.check rule "implication"
-    (TL.Always (TL.Implies (TL.Atom (TL.State_is 1), TL.Atom (TL.Action_is "left"))))
-    (Rule_parser.parse "G (state=1 => action=left)");
-  Alcotest.check rule "until"
-    (TL.Until (TL.Atom (TL.Label "left_lane"), TL.Atom (TL.Label "target")))
-    (Rule_parser.parse "left_lane U target");
-  Alcotest.check rule "next" (TL.Next TL.True) (Rule_parser.parse "X true")
-
-let test_rule_parser_errors () =
-  List.iter
-    (fun s ->
-       match Rule_parser.parse_opt s with
-       | None -> ()
-       | Some f -> Alcotest.failf "%S should not parse, got %s" s (TL.to_string f))
-    [ ""; "state="; "state=x"; "action="; "G"; "a &"; "@"; "(a";
-      "(state=1, 2)" ]
-
-let gen_rule =
-  let open QCheck2.Gen in
-  let atom =
-    oneof
-      [ return TL.True;
-        return TL.False;
-        map (fun i -> TL.Atom (TL.State_is i)) (int_range 0 9);
-        map (fun i -> TL.Atom (TL.Action_is (Printf.sprintf "a%d" i))) (int_range 0 3);
-        map (fun i -> TL.Atom (TL.Label (Printf.sprintf "l%d" i))) (int_range 0 3);
-        map2 (fun s a -> TL.Atom (TL.Step (s, Printf.sprintf "a%d" a)))
-          (int_range 0 9) (int_range 0 3);
-      ]
-  in
-  let rec go depth =
-    if depth = 0 then atom
-    else
-      let sub = go (depth - 1) in
-      oneof
-        [ atom;
-          map (fun f -> TL.Not f) sub;
-          map2 (fun a b -> TL.And (a, b)) sub sub;
-          map2 (fun a b -> TL.Or (a, b)) sub sub;
-          map2 (fun a b -> TL.Implies (a, b)) sub sub;
-          map (fun f -> TL.Next f) sub;
-          map (fun f -> TL.Always f) sub;
-          map (fun f -> TL.Eventually f) sub;
-          map2 (fun a b -> TL.Until (a, b)) sub sub;
-        ]
-  in
-  go 3
-
 (* Properties: parser inverse of printer on random formulas. *)
 
 let gen_formula =
@@ -296,10 +223,6 @@ let props =
       (QCheck2.Test.make ~name:"print/parse roundtrip" ~count:300
          ~print:Pctl.to_string gen_formula (fun f ->
              Pctl_parser.parse (Pctl.to_string f) = f));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:"rule print/parse roundtrip" ~count:300
-         ~print:TL.to_string gen_rule (fun f ->
-             Rule_parser.parse (TL.to_string f) = f));
   ]
 
 let () =
@@ -318,11 +241,6 @@ let () =
           Alcotest.test_case "temporal" `Quick test_tl_temporal;
           Alcotest.test_case "indicator/violations" `Quick test_tl_indicator_violations;
           Alcotest.test_case "printing" `Quick test_tl_print;
-        ] );
-      ( "rule parser",
-        [ Alcotest.test_case "atoms" `Quick test_rule_parser_atoms;
-          Alcotest.test_case "temporal" `Quick test_rule_parser_temporal;
-          Alcotest.test_case "errors" `Quick test_rule_parser_errors;
         ] );
       ("properties", props);
     ]

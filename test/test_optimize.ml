@@ -1,26 +1,4 @@
-(* Tests for Scalar, Nelder_mead, Gradient and Nlp. *)
-
-let test_golden_section () =
-  let x = Scalar.golden_section (fun x -> (x -. 2.0) ** 2.0) 0.0 5.0 in
-  Alcotest.(check (float 1e-6)) "quadratic min" 2.0 x;
-  let x = Scalar.golden_section (fun x -> -.sin x) 0.0 Float.pi in
-  Alcotest.(check (float 1e-6)) "sin max" (Float.pi /. 2.0) x;
-  Alcotest.check_raises "lo > hi" (Invalid_argument "Scalar.golden_section: lo > hi")
-    (fun () -> ignore (Scalar.golden_section Fun.id 1.0 0.0))
-
-let test_bisect () =
-  let x = Scalar.bisect (fun x -> (x *. x) -. 2.0) 0.0 2.0 in
-  Alcotest.(check (float 1e-9)) "sqrt 2" (sqrt 2.0) x;
-  let x = Scalar.bisect cos 0.0 3.0 in
-  Alcotest.(check (float 1e-9)) "cos root" (Float.pi /. 2.0) x;
-  Alcotest.check_raises "same sign"
-    (Invalid_argument "Scalar.bisect: f(lo) and f(hi) have the same sign")
-    (fun () -> ignore (Scalar.bisect (fun _ -> 1.0) 0.0 1.0))
-
-let test_minimize_scan () =
-  (* multimodal: global min of cos at pi within [0, 2pi] *)
-  let x = Scalar.minimize_scan cos 0.0 (2.0 *. Float.pi) in
-  Alcotest.(check (float 1e-4)) "cos global min" Float.pi x
+(* Tests for Nelder_mead and Nlp. *)
 
 let test_nelder_mead_quadratic () =
   let f x = ((x.(0) -. 1.0) ** 2.0) +. ((x.(1) +. 2.0) ** 2.0) in
@@ -38,23 +16,6 @@ let test_nelder_mead_rosenbrock () =
   let r = Nelder_mead.minimize ~max_iter:20000 f [| -1.2; 1.0 |] in
   Alcotest.(check (float 1e-3)) "rosenbrock x" 1.0 r.Nelder_mead.x.(0);
   Alcotest.(check (float 1e-3)) "rosenbrock y" 1.0 r.Nelder_mead.x.(1)
-
-let test_gradient () =
-  let f x = ((x.(0) -. 3.0) ** 2.0) +. (2.0 *. ((x.(1) -. 1.0) ** 2.0)) in
-  let g = Gradient.numeric_gradient f [| 0.0; 0.0 |] in
-  Alcotest.(check (float 1e-4)) "dg0" (-6.0) g.(0);
-  Alcotest.(check (float 1e-4)) "dg1" (-4.0) g.(1);
-  let r = Gradient.minimize f [| 0.0; 0.0 |] in
-  Alcotest.(check (float 1e-4)) "min x0" 3.0 r.Gradient.x.(0);
-  Alcotest.(check (float 1e-4)) "min x1" 1.0 r.Gradient.x.(1);
-  (* box-constrained: optimum clipped to boundary *)
-  let r =
-    Gradient.minimize ~lower:[| -1.0; -1.0 |] ~upper:[| 2.0; 2.0 |] f
-      [| 0.0; 0.0 |]
-  in
-  Alcotest.(check (float 1e-6)) "clipped" 2.0 r.Gradient.x.(0);
-  let r = Gradient.maximize (fun x -> -.f x) [| 0.0; 0.0 |] in
-  Alcotest.(check (float 1e-6)) "maximize" 0.0 r.Gradient.f
 
 let circle_problem () =
   (* min x² + y² s.t. x + y >= 1, i.e. 1 - x - y <= 0.
@@ -206,16 +167,10 @@ let props =
 
 let () =
   Alcotest.run "optimize"
-    [ ( "scalar",
-        [ Alcotest.test_case "golden section" `Quick test_golden_section;
-          Alcotest.test_case "bisect" `Quick test_bisect;
-          Alcotest.test_case "scan" `Quick test_minimize_scan;
-        ] );
-      ( "nelder-mead",
+    [ ( "nelder-mead",
         [ Alcotest.test_case "quadratic" `Quick test_nelder_mead_quadratic;
           Alcotest.test_case "rosenbrock" `Quick test_nelder_mead_rosenbrock;
         ] );
-      ("gradient", [ Alcotest.test_case "descent" `Quick test_gradient ]);
       ( "nlp",
         [ Alcotest.test_case "feasible (penalty)" `Quick test_nlp_feasible_penalty;
           Alcotest.test_case "feasible (auglag)" `Quick test_nlp_feasible_auglag;
