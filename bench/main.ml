@@ -50,7 +50,7 @@ let data_pdtmc =
     (Mle.parametric_mle ~n:9 ~init:8
        ~labels:[ ("delivered", [ 0 ]) ]
        ~rewards:(Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one))
-       ~groups:(Lazy.force data_groups) ())
+       ~groups:(Tally.of_groups (Lazy.force data_groups)) ())
 
 let data_query = lazy (Pquery.of_formula (Lazy.force data_pdtmc) (Wsn.property 19))
 
@@ -83,7 +83,8 @@ let bench_e3_repair =
 let bench_e4_parametric_mle =
   Test.make ~name:"e4/parametric MLE (3000 observations)"
     (Staged.stage (fun () ->
-         Mle.parametric_mle ~n:9 ~init:8 ~groups:(Lazy.force data_groups) ()))
+         Mle.parametric_mle ~n:9 ~init:8
+           ~groups:(Tally.of_groups (Lazy.force data_groups)) ()))
 
 let bench_e4_elimination =
   Test.make ~name:"e4/data-repair elimination f(x)"
@@ -240,7 +241,7 @@ let smoothing_sweep () =
          Mle.learn_dtmc ~n:9 ~init:8
            ~labels:[ ("delivered", [ 0 ]) ]
            ~rewards:(Array.init 9 (fun s -> if s = 0 then 0.0 else 1.0))
-           ~smoothing:alpha ~support traces
+           ~smoothing:alpha ~support (Tally.of_traces traces)
        in
        let e =
          Check_dtmc.reachability_reward_from_init learned (Prop "delivered")
@@ -274,7 +275,8 @@ let substrate_benches =
            Check_dtmc.reachability_reward_from_init (Lazy.force wsn_chain)
              (Prop "delivered")));
     Test.make ~name:"substrate/mle (800 traces)"
-      (Staged.stage (fun () -> Mle.learn_dtmc ~n:9 ~init:8 (Lazy.force traces)));
+      (Staged.stage (fun () ->
+           Mle.learn_dtmc ~n:9 ~init:8 (Tally.of_traces (Lazy.force traces))));
     Test.make ~name:"substrate/bisim quotient (wsn chain)"
       (Staged.stage (fun () -> Bisimulation.quotient (Lazy.force wsn_chain)));
     Test.make ~name:"substrate/smc estimate (2000 samples)"

@@ -257,7 +257,7 @@ let run_data_repair traces_file states init labels pinned prop backend =
      | Error e -> Error e
      | Ok phi -> (
          try
-           let groups = Trace_io.of_file traces_file in
+           let groups = Trace_io.of_file ~n:states traces_file in
            let labels =
              List.map
                (fun s ->
@@ -385,7 +385,7 @@ let run_pipeline traces_file states init labels pinned vars deltas prop =
      | Error e -> Error e
      | Ok phi -> (
          try
-           let groups = Trace_io.of_file traces_file in
+           let groups = Trace_io.of_file ~n:states traces_file in
            let labels =
              List.map
                (fun s ->
@@ -559,7 +559,7 @@ let batch_jobs ~backend ~grid suite count =
             (Array.init states (fun s ->
                  if s = 0 then Ratio.zero else Ratio.one));
         phi = Wsn.property data_bound;
-        spec = Data_repair.spec ~pinned:[ "success" ] groups;
+        spec = Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups);
         starts = 2;
         backend;
       }

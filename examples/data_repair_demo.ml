@@ -19,7 +19,7 @@ let make_traces ~opened ~shut =
 let learn groups =
   Mle.learn_dtmc ~n:3 ~init:0
     ~labels:[ ("opened", [ 1 ]); ("shut", [ 2 ]) ]
-    (List.concat_map snd groups)
+    (Tally.of_traces (List.concat_map snd groups))
 
 let () =
   section "The data";
@@ -46,7 +46,7 @@ let () =
     Data_repair.repair ~n:3 ~init:0
       ~labels:[ ("opened", [ 1 ]); ("shut", [ 2 ]) ]
       property
-      (Data_repair.spec ~pinned:[ "lab_batch" ] groups)
+      (Data_repair.spec ~pinned:[ "lab_batch" ] (Tally.of_groups groups))
   with
   | Data_repair.Repaired r ->
     List.iter

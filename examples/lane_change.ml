@@ -36,7 +36,7 @@ let () =
   let rng = Prng.create 2024 in
   section "Learning the controller chain from drive logs";
   let traces = make_logs rng ~freeze_rate:0.03 ~count:2000 in
-  let model = Mle.learn_dtmc ~n:6 ~init:0 ~labels traces in
+  let model = Mle.learn_dtmc ~n:6 ~init:0 ~labels (Tally.of_traces traces) in
   let v = Check_dtmc.check_verbose model property in
   Format.printf "%s --> %s (value %.4f)@\n" (Pctl.to_string property)
     (if v.Check_dtmc.holds then "HOLDS" else "VIOLATED")

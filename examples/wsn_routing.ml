@@ -60,7 +60,7 @@ let () =
     Data_repair.repair ~n:9 ~init:8
       ~labels:[ ("delivered", [ 0 ]) ]
       ~rewards ~starts:6 (Wsn.property 19)
-      (Data_repair.spec ~pinned:[ "success" ] groups)
+      (Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups))
   with
   | Data_repair.Repaired r ->
     Format.printf "feasible: drop fractions@\n";

@@ -68,7 +68,7 @@ let e4 ?(observations = 3000) ?(seed = 42) () =
     Data_repair.repair ~n:9 ~init:8
       ~labels:[ ("delivered", [ 0 ]) ]
       ~rewards ~starts:6 (Wsn.property 19)
-      (Data_repair.spec ~pinned:[ "success" ] groups)
+      (Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups))
   with
   | Data_repair.Repaired r ->
     let d g = List.assoc g r.Data_repair.drop_fractions in

@@ -1,5 +1,5 @@
 type spec = {
-  groups : (string * Trace.t list) list;
+  groups : (string * Tally.t) list;
   max_drop : float;
   pinned : string list;
 }
@@ -89,8 +89,7 @@ let repair ~n ~init ?(labels = []) ?rewards
       let dropped_traces =
         List.fold_left
           (fun acc (g, frac) ->
-             acc
-             +. (frac *. float_of_int (List.length (List.assoc g sp.groups))))
+             acc +. (frac *. float_of_int (List.assoc g sp.groups).Tally.traces))
           0.0 drop_fractions
       in
       Repaired

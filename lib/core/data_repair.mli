@@ -13,7 +13,10 @@
     NLP's constraint [f(x) ~ b]. *)
 
 type spec = {
-  groups : (string * Trace.t list) list;
+  groups : (string * Tally.t) list;
+      (** per-group sufficient statistics: the re-learned chain depends on
+          a group only through its transition counts, and the expected
+          number of dropped traces only through its trace count *)
   max_drop : float;  (** upper bound per drop fraction, default-style 0.999 *)
   pinned : string list;
       (** groups that must be kept intact ([x_g = 0]) — the paper's "keep
@@ -21,7 +24,9 @@ type spec = {
 }
 
 val spec :
-  ?max_drop:float -> ?pinned:string list -> (string * Trace.t list) list -> spec
+  ?max_drop:float -> ?pinned:string list -> (string * Tally.t) list -> spec
+(** Trace groups enter through {!Tally.of_groups}, trace text through
+    {!Trace_io.parse_tallies}. *)
 
 type repaired = {
   dtmc : Dtmc.t;  (** model re-learned from the repaired data *)

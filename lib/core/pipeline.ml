@@ -14,11 +14,13 @@ type report = {
 }
 
 let run ~n ~init ?(labels = []) ?rewards ?model_spec ?data_spec ~groups phi =
-  let all_traces = List.concat_map snd groups in
+  let all_data =
+    List.fold_left (fun acc (_, t) -> Tally.add acc t) Tally.empty groups
+  in
   let rewards_float = Option.map (Array.map Ratio.to_float) rewards in
   let model =
     Instr.time Instr.Learn (fun () ->
-        Mle.learn_dtmc ~n ~init ~labels ?rewards:rewards_float all_traces)
+        Mle.learn_dtmc ~n ~init ~labels ?rewards:rewards_float all_data)
   in
   let original =
     Instr.time Instr.Check (fun () -> Check_dtmc.check_verbose model phi)

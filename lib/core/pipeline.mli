@@ -26,12 +26,12 @@ val run :
   ?rewards:Ratio.t array ->
   ?model_spec:Model_repair.spec ->
   ?data_spec:Data_repair.spec ->
-  groups:(string * Trace.t list) list ->
+  groups:(string * Tally.t) list ->
   Pctl.state_formula ->
   report
-(** Learns the model from all traces (MLE), then walks the pipeline.
-    [model_spec] / [data_spec] enable the corresponding repair stages
-    (a stage without a spec is skipped). [data_spec] defaults to dropping
-    from the given trace groups. *)
+(** Learns the model (MLE) from the sum of the groups' tallies, then walks
+    the pipeline.  [model_spec] / [data_spec] enable the corresponding
+    repair stages (a stage without a spec is skipped). [data_spec]
+    defaults to dropping from the given trace groups. *)
 
 val pp_report : Format.formatter -> report -> unit

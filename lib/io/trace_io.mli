@@ -9,40 +9,62 @@
                            # final state
     group field
     0 2
+    tally 14 8:5:3 8:8:11  # 14 more traces, with 3 steps 8->5 and
+                           # 11 steps 8->8
     v}
 
     Lines before any [group] directive land in the default group [""].
     A bare state sequence is an action-less path; mixing the two styles on
-    one line is allowed (missing actions default to [""]). *)
+    one line is allowed (missing actions default to [""]).
+
+    A [tally N SRC:DST:COUNT ...] line stands for [N] traces with the
+    given transition counts — the sufficient statistics of closed-form
+    MLE ({!Tally}).  It is additive: a group's tally is the sum of its
+    trace lines and its tally lines, in any order.  Every number on a
+    tally line is a plain decimal integer; transition counts are positive,
+    [N = 0] carries no transitions, and no sum may pass {!Tally.limit}. *)
 
 exception Parse_error of string
+(** Messages start with ["line N: "], the line that failed. *)
 
-(** {1 Line-level parsing}
+(** {1 Tallies: the form Data Repair and Pipeline consume} *)
 
-    The streaming subsystem ({!Inc_learn}) folds appended chunks one
-    complete line at a time, carrying its own cross-chunk group state and
-    {e absolute} line numbers — so an error in chunk 3 reports the true
-    line number of the stream.  {!parse} is a fold over {!parse_line},
-    which keeps the two paths byte-identical by construction. *)
+val parse_tallies : ?first_line:int -> n:int -> string -> (string * Tally.t) list
+(** Fold every line into its group's tally.  Groups come in order of first
+    appearance; an unused default group (no traces) is dropped, named
+    empty groups are kept.  [first_line] (default 1) offsets reported line
+    numbers.
+    @raise Parse_error on a malformed line, a state outside [0 .. n-1]
+    (on a trace or a tally line) or a count overflow. *)
 
-type line =
-  | Blank  (** empty, or only whitespace/comment *)
-  | Group of string  (** a [group NAME] directive *)
-  | Trace_line of Trace.t
+val fold_tallies :
+  n:int ->
+  first_line:int ->
+  group:string ->
+  string list ->
+  (string * Tally.t) list * string
+(** The fold {!parse_tallies} is built on, for a stream consumed in
+    chunks ({!Inc_learn}): fold complete [lines] (no newlines; the first
+    is line [first_line]) starting in group [group].  Returns every group
+    the lines touched — [group] first, then in order of first appearance,
+    none dropped — and the group in effect after the last line.  Raises
+    as {!parse_tallies}. *)
 
-val parse_line : lineno:int -> string -> line
-(** Classify one physical line (no trailing newline).
-    @raise Parse_error labelled with [lineno] on malformed input. *)
+val of_file : n:int -> string -> (string * Tally.t) list
+(** {!parse_tallies} on a file's contents. *)
 
-(** {1 Whole-text parsing} *)
+val tallies_to_string : (string * Tally.t) list -> string
+(** One [group] line per named group and one [tally] line per group with
+    traces.  [parse_tallies (tallies_to_string g) = g] for every [g]
+    that {!parse_tallies} returns. *)
+
+(** {1 Traces} *)
 
 val parse : ?first_line:int -> string -> (string * Trace.t list) list
 (** Groups in order of first appearance; each group's traces in file
-    order.  [first_line] (default 1) offsets reported line numbers — the
-    streaming path passes the absolute line number of the chunk's first
-    line.  @raise Parse_error on malformed lines. *)
-
-val of_file : string -> (string * Trace.t list) list
+    order; an unused default group dropped.
+    @raise Parse_error on malformed lines, and on tally lines, which
+    have no trace form. *)
 
 val to_string : (string * Trace.t list) list -> string
 (** [parse (to_string groups)] reconstructs the groups. *)

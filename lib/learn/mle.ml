@@ -2,26 +2,17 @@ let check_state n s =
   if s < 0 || s >= n then
     invalid_arg (Printf.sprintf "Mle: state %d out of range [0,%d)" s n)
 
-let iter_steps n trace f =
-  let states = Trace.states trace in
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      check_state n a;
-      check_state n b;
-      f a b;
-      go rest
-    | [ last ] -> check_state n last
-    | [] -> ()
-  in
-  go states
+let counts ~n (t : Tally.t) =
+  let c = Array.make_matrix n n 0.0 in
+  List.iter
+    (fun (s, d, k) ->
+       check_state n s;
+       check_state n d;
+       c.(s).(d) <- float_of_int k)
+    t.Tally.transitions;
+  c
 
-let count_trace ~n counts tr =
-  iter_steps n tr (fun a b -> counts.(a).(b) <- counts.(a).(b) +. 1.0)
-
-let transition_counts ~n traces =
-  let counts = Array.make_matrix n n 0.0 in
-  List.iter (count_trace ~n counts) traces;
-  counts
+let transition_counts ~n traces = counts ~n (Tally.of_traces traces)
 
 let observed_support counts =
   let n = Array.length counts in
@@ -34,8 +25,8 @@ let observed_support counts =
   !edges
 
 let learn_dtmc ~n ~init ?(labels = []) ?rewards ?(smoothing = 0.0) ?support
-    traces =
-  let counts = transition_counts ~n traces in
+    tally =
+  let counts = counts ~n tally in
   let support =
     match support with Some s -> s | None -> observed_support counts
   in
@@ -129,10 +120,7 @@ let parametric_mle ~n ~init ?(labels = []) ?rewards ~groups () =
   let names = List.map fst groups in
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Mle.parametric_mle: duplicate group names";
-  (* per-group counts *)
-  let group_counts =
-    List.map (fun (g, traces) -> (g, transition_counts ~n traces)) groups
-  in
+  let group_counts = List.map (fun (g, tally) -> (g, counts ~n tally)) groups in
   let keep g = Ratfun.sub Ratfun.one (Ratfun.var g) in
   let entry s d =
     List.fold_left

@@ -11,19 +11,15 @@
 
 (** {1 Concrete estimation} *)
 
-val transition_counts : n:int -> Trace.t list -> float array array
-(** [counts.(s).(d)] = number of observed [s -> d] steps (actions ignored).
-    @raise Invalid_argument when a trace mentions a state outside
+val counts : n:int -> Tally.t -> float array array
+(** [counts.(s).(d)] = the tally's [s -> d] count, as a float (exact:
+    counts stay below {!Tally.limit}).
+    @raise Invalid_argument when a transition names a state outside
     [0 .. n-1]. *)
 
-val count_trace : n:int -> float array array -> Trace.t -> unit
-(** Fold one trace's steps into an existing count matrix ([+1.0] per
-    observed step, actions ignored) — the incremental form
-    {!transition_counts} is built on, used by the streaming learner to
-    absorb appended chunks without re-reading history.
-    @raise Invalid_argument on out-of-range states (the matrix is then
-    partially updated; streaming callers fold into a scratch copy
-    first). *)
+val transition_counts : n:int -> Trace.t list -> float array array
+(** {!counts} of [Tally.of_traces traces]: the number of observed
+    [s -> d] steps, actions ignored. *)
 
 val learn_dtmc :
   n:int ->
@@ -32,9 +28,9 @@ val learn_dtmc :
   ?rewards:float array ->
   ?smoothing:float ->
   ?support:(int * int) list ->
-  Trace.t list ->
+  Tally.t ->
   Dtmc.t
-(** Row-normalised counts. [smoothing] adds Laplace mass α to every edge of
+(** Row-normalised {!counts}. [smoothing] adds Laplace mass α to every edge of
     the [support] (default: the edges observed anywhere in the data).
     States never visited as sources become absorbing self-loops.
     @raise Invalid_argument on empty data with no support, or bad states. *)
@@ -52,12 +48,11 @@ val parametric_mle :
   init:int ->
   ?labels:(string * int list) list ->
   ?rewards:Ratio.t array ->
-  groups:(string * Trace.t list) list ->
+  groups:(string * Tally.t) list ->
   unit ->
   Pdtmc.t
-(** Group [g]'s traces are kept with symbolic weight [1 - g]; transition
-    probabilities become
-    [P(s,d) = Σ_g (1-g)·c_g(s,d) / Σ_g (1-g)·c_g(s,·)] — rational functions
+(** Group [g]'s tally is kept with symbolic weight [1 - g]; transition
+    probabilities become [P(s,d) = Σ_g (1-g)·c_g(s,d) / Σ_g (1-g)·c_g(s,·)] — rational functions
     of the drop fractions. A group name appearing as a variable must
     therefore be a valid identifier. States never observed as sources
     become absorbing.

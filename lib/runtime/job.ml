@@ -31,7 +31,7 @@ type t =
       rewards : Ratio.t array option;
       model_spec : Model_repair.spec option;
       data_spec : Data_repair.spec option;
-      groups : (string * Trace.t list) list;
+      groups : (string * Tally.t) list;
       phi : Pctl.state_formula;
     }
 
@@ -70,9 +70,9 @@ let run = function
 (* ------------------------------ digest ------------------------------ *)
 
 (* Canonical serialisation of every job input.  Floats are rendered with
-   %h (hex) so the key is exact; traces, labels and specs are written in
-   their given order — job identity is intentionally sensitive to input
-   order, which is cheap and conservative (false misses only). *)
+   %h (hex) so the key is exact; labels, specs and trace groups are
+   written in their given order — job identity is intentionally sensitive
+   to that order, which is cheap and conservative (false misses only). *)
 
 let add_float buf x = Buffer.add_string buf (Printf.sprintf "%h," x)
 
@@ -140,18 +140,16 @@ let add_model_spec buf (spec : Model_repair.spec) =
     spec.Model_repair.deltas;
   Buffer.add_char buf '}'
 
-let add_trace buf tr =
-  List.iter
-    (fun (s, a) -> Buffer.add_string buf (Printf.sprintf "%d/%s," s a))
-    (Trace.state_actions tr);
-  Buffer.add_string buf (Printf.sprintf "|%d;" tr.Trace.final)
-
+(* Tallies are canonical (sorted, duplicates summed), so trace order
+   within a group, and the trace-or-tally form of the payload, never
+   change the key. *)
 let add_groups buf groups =
   List.iter
-    (fun (name, traces) ->
-       Buffer.add_string buf name;
-       Buffer.add_char buf '{';
-       List.iter (add_trace buf) traces;
+    (fun (name, (t : Tally.t)) ->
+       Buffer.add_string buf (Printf.sprintf "%s{%d|" name t.traces);
+       List.iter
+         (fun (s, d, c) -> Buffer.add_string buf (Printf.sprintf "%d>%d=%d;" s d c))
+         t.transitions;
        Buffer.add_char buf '}')
     groups
 

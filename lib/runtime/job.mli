@@ -43,7 +43,7 @@ type t =
       rewards : Ratio.t array option;
       model_spec : Model_repair.spec option;
       data_spec : Data_repair.spec option;
-      groups : (string * Trace.t list) list;
+      groups : (string * Tally.t) list;
       phi : Pctl.state_formula;
     }
 
@@ -65,7 +65,9 @@ val kind : t -> string
 
 val digest : t -> string
 (** Hex MD5 of a canonical serialisation of the job's inputs (models,
-    property, spec, traces, solver arity, repair backend).  Equal digests
+    property, spec, trace-group tallies, solver arity, repair backend).
+    Trace data enters as canonical {!Tally.t}s, so trace text, tally text
+    and any reordering of traces within a group give one digest.  Equal digests
     mean equal inputs, so a cached outcome can be replayed — two runs of
     the same repair on different backends are distinct jobs. *)
 

@@ -557,7 +557,9 @@ let job_of_request = function
             (fun rs -> Array.of_list (List.map Ratio.of_float rs))
             rewards;
         phi = Pctl_parser.parse phi;
-        spec = Data_repair.spec ~max_drop ~pinned (Trace_io.parse traces);
+        spec =
+          Data_repair.spec ~max_drop ~pinned
+            (Trace_io.parse_tallies ~n:states traces);
         starts;
         backend = parse_backend backend;
       }
@@ -576,6 +578,7 @@ let job_of_request = function
       }
   | Pipeline_req
       { states; init; labels; rewards; model_spec; data_spec; traces; phi } ->
+    let groups = Trace_io.parse_tallies ~n:states traces in
     Job.Pipeline
       {
         n = states;
@@ -597,9 +600,9 @@ let job_of_request = function
         data_spec =
           Option.map
             (fun (max_drop, pinned) ->
-               Data_repair.spec ~max_drop ~pinned (Trace_io.parse traces))
+               Data_repair.spec ~max_drop ~pinned groups)
             data_spec;
-        groups = Trace_io.parse traces;
+        groups;
         phi = Pctl_parser.parse phi;
       }
 

@@ -168,7 +168,8 @@ type job_request =
       labels : (string * int list) list;
       rewards : float list option;
       phi : string;
-      traces : string;  (** {!Trace_io} text *)
+      traces : string;
+          (** {!Trace_io} text: trace lines, tally lines or both *)
       max_drop : float;
       pinned : string list;
       starts : int;
@@ -201,7 +202,10 @@ val job_of_request : job_request -> Job.t
 (** Decode with the lib/io parsers.  Raises the underlying parser's
     exception on malformed payloads (the router maps it to a
     ["bad-request"] wire error); an unknown [backend] slug is a
-    {!Protocol_error}. *)
+    {!Protocol_error}.  Data Repair and Pipeline [traces] are folded into
+    per-group tallies here ({!Trace_io.parse_tallies} with [~n:states]),
+    so a state out of range or a malformed tally line is rejected at
+    submit, naming its line. *)
 
 (** {1 Watch specs}
 
@@ -227,7 +231,8 @@ val watch_spec_of_json : json -> watch_spec
 
 val job_request_of_watch : watch_spec -> traces:string -> job_request
 (** The Data Repair job a violated watch submits: the accumulated
-    traces in canonical textual form under the watch's spec.  A batch
+    tallies in canonical textual form ({!Trace_io.tallies_to_string})
+    under the watch's spec.  A batch
     submit of the concatenated trace text with the same spec decodes to
     the same {!Job.t} — equal digests, byte-identical report (the
     differential-correctness contract of the streaming subsystem). *)

@@ -4,8 +4,9 @@ type t = {
   mutable support_size : int;
   mutable lines : int;
   mutable pending : string;
-  mutable groups : (string * Trace.t list ref) list;
-  mutable current : Trace.t list ref;
+  mutable groups : (string * Tally.t) list;
+      (* first appearance order, the default group first *)
+  mutable current : string;
   mutable trace_count : int;
 }
 
@@ -17,84 +18,62 @@ type append_result = {
 
 let create ~n =
   if n <= 0 then invalid_arg "Inc_learn.create: need at least one state";
-  let default = ref [] in
   {
     n;
     counts = Array.make_matrix n n 0.0;
     support_size = 0;
     lines = 0;
     pending = "";
-    groups = [ ("", default) ];
-    current = default;
+    groups = [ ("", Tally.empty) ];
+    current = "";
     trace_count = 0;
   }
 
-type event = Blank | Group of string | Trace_line of Trace.t
-
-let validate_states t lineno tr =
-  List.iter
-    (fun s ->
-       if s < 0 || s >= t.n then
-         raise
-           (Trace_io.Parse_error
-              (Printf.sprintf "line %d: state %d out of range [0,%d)" lineno s
-                 t.n)))
-    (Trace.states tr)
-
-(* Parse (and fully validate) every complete line before mutating any
-   state, so a malformed chunk leaves the learner untouched and the
-   client can fix and resend it. *)
-let parse_events (t : t) lines =
-  List.mapi
-    (fun i line ->
-       let lineno = t.lines + i + 1 in
-       match Trace_io.parse_line ~lineno line with
-       | Trace_io.Blank -> Blank
-       | Trace_io.Group name -> Group name
-       | Trace_io.Trace_line tr ->
-         validate_states t lineno tr;
-         Trace_line tr)
-    lines
-
-(* Walk a trace's steps against the current counts: does folding it turn
-   any zero count positive?  (Support only ever grows.) *)
-let grows_support t tr =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      if t.counts.(a).(b) = 0.0 then true else go rest
-    | _ -> false
+(* Fold complete lines.  The chunk is parsed, range-checked and summed
+   into the learner's tallies before anything is assigned, so a malformed
+   chunk leaves the learner untouched and the client can fix and resend
+   it. *)
+let consume (t : t) lines =
+  let last_line = t.lines + List.length lines in
+  let chunk, current =
+    Trace_io.fold_tallies ~n:t.n ~first_line:(t.lines + 1) ~group:t.current
+      lines
   in
-  go (Trace.states tr)
-
-let apply_events t events =
+  let groups =
+    try
+      List.fold_left
+        (fun groups (name, tally) ->
+           match List.assoc_opt name groups with
+           | Some _ when tally.Tally.traces = 0 -> groups
+           | Some old ->
+             let merged = Tally.add old tally in
+             List.map (fun ((g, _) as e) -> if g = name then (g, merged) else e) groups
+           | None -> groups @ [ (name, tally) ])
+        t.groups chunk
+    with Invalid_argument msg ->
+      raise (Trace_io.Parse_error (Printf.sprintf "line %d: %s" last_line msg))
+  in
   let new_traces = ref 0 in
-  let changed = ref false in
+  let support_before = t.support_size in
   List.iter
-    (fun ev ->
-       match ev with
-       | Blank -> ()
-       | Group name ->
-         (match List.assoc_opt name t.groups with
-          | Some r -> t.current <- r
-          | None ->
-            let r = ref [] in
-            t.groups <- t.groups @ [ (name, r) ];
-            t.current <- r)
-       | Trace_line tr ->
-         if grows_support t tr then changed := true;
-         Mle.count_trace ~n:t.n t.counts tr;
-         t.current := tr :: !(t.current);
-         incr new_traces;
-         t.trace_count <- t.trace_count + 1)
-    events;
-  if !changed then begin
-    let size = ref 0 in
-    Array.iter
-      (Array.iter (fun c -> if c > 0.0 then incr size))
-      t.counts;
-    t.support_size <- !size
-  end;
-  (!new_traces, !changed)
+    (fun (_, (tally : Tally.t)) ->
+       new_traces := !new_traces + tally.traces;
+       List.iter
+         (fun (s, d, c) ->
+            let row = t.counts.(s) in
+            if row.(d) = 0.0 then t.support_size <- t.support_size + 1;
+            row.(d) <- row.(d) +. float_of_int c)
+         tally.transitions)
+    chunk;
+  t.groups <- groups;
+  t.current <- current;
+  t.trace_count <- t.trace_count + !new_traces;
+  t.lines <- last_line;
+  {
+    lines = List.length lines;
+    new_traces = !new_traces;
+    support_changed = t.support_size > support_before;
+  }
 
 let append t chunk =
   let text = t.pending ^ chunk in
@@ -103,24 +82,16 @@ let append t chunk =
     t.pending <- text;
     { lines = 0; new_traces = 0; support_changed = false }
   | Some j ->
-    let complete = String.sub text 0 j in
-    let rest = String.sub text (j + 1) (String.length text - j - 1) in
-    let lines = String.split_on_char '\n' complete in
-    let events = parse_events t lines in
-    let new_traces, support_changed = apply_events t events in
-    t.lines <- t.lines + List.length lines;
-    t.pending <- rest;
-    { lines = List.length lines; new_traces; support_changed }
+    let r = consume t (String.split_on_char '\n' (String.sub text 0 j)) in
+    t.pending <- String.sub text (j + 1) (String.length text - j - 1);
+    r
 
 let flush t =
   if t.pending = "" then { lines = 0; new_traces = 0; support_changed = false }
   else begin
-    let line = t.pending in
-    let events = parse_events t [ line ] in
-    let new_traces, support_changed = apply_events t events in
-    t.lines <- t.lines + 1;
+    let r = consume t [ t.pending ] in
     t.pending <- "";
-    { lines = 1; new_traces; support_changed }
+    r
   end
 
 let num_states t = t.n
@@ -139,9 +110,5 @@ let support t =
   done;
   !edges
 
-let groups t =
-  t.groups
-  |> List.filter_map (fun (name, r) ->
-      match List.rev !r with
-      | [] when name = "" -> None
-      | traces -> Some (name, traces))
+let tallies t =
+  List.filter (fun (name, (tl : Tally.t)) -> name <> "" || tl.traces > 0) t.groups

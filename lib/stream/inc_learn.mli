@@ -1,18 +1,21 @@
 (** The incremental MLE learner: folds appended trace chunks into
     transition counts without re-reading history.
 
-    A learner owns the running count matrix, the cross-chunk parser state
-    (the current [group] and a buffered partial trailing line), and the
-    absolute line counter, so chunk boundaries are invisible: feeding a
-    trace file in any number of pieces — even split mid-line — produces
-    counts, groups and line numbers byte-identical to
-    {!Trace_io.parse} + {!Mle.transition_counts} on the concatenation.
+    A learner owns the running count matrix, one {!Tally} per group, the
+    cross-chunk parser state (the current [group] and a buffered partial
+    trailing line), and the absolute line counter.  It keeps no trace:
+    its memory is O(groups × support) plus the partial line, however long
+    the stream runs.  Chunk boundaries are invisible: feeding a trace file
+    in any number of pieces — even split mid-line — produces counts,
+    tallies and line numbers identical to {!Trace_io.parse_tallies} +
+    {!Mle.counts} on the concatenation.  Chunks may carry trace lines,
+    tally lines or both.
 
-    Appends are atomic: every complete line of a chunk is parsed and
+    Appends are atomic: every complete line of a chunk is parsed,
     range-validated (with {e absolute} stream line numbers, satisfying
-    the chunk-validation contract) before any count is touched, so a
-    malformed chunk raises {!Trace_io.Parse_error} and leaves the
-    learner exactly as it was. *)
+    the chunk-validation contract) and summed before anything is
+    assigned, so a malformed chunk raises {!Trace_io.Parse_error} and
+    leaves the learner exactly as it was. *)
 
 type t
 
@@ -49,11 +52,10 @@ val support : t -> (int * int) list
 
 val support_size : t -> int
 
-val groups : t -> (string * Trace.t list) list
-(** Accumulated traces in {!Trace_io.parse} form (groups in order of
-    first appearance, traces in arrival order, unused default group
-    dropped) — the input a batch {!Data_repair.spec} would be built
-    from. *)
+val tallies : t -> (string * Tally.t) list
+(** Per-group tallies in {!Trace_io.parse_tallies} form (groups in order
+    of first appearance, unused default group dropped, named empty groups
+    kept) — the input a batch {!Data_repair.spec} is built from. *)
 
 val lines_consumed : t -> int
 (** Complete lines consumed so far (= the absolute line number of the

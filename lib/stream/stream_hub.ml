@@ -365,7 +365,9 @@ let handle_append t ~client:_ ~watch ~chunk =
               else begin
                 Metrics.observe detect_hist (Unix.gettimeofday () -. t0);
                 Metrics.incr violations_counter;
-                let traces = Trace_io.to_string (Inc_learn.groups w.learner) in
+                let traces =
+                  Trace_io.tallies_to_string (Inc_learn.tallies w.learner)
+                in
                 let submit =
                   try
                     base_response

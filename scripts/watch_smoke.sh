@@ -3,8 +3,9 @@
 # register a watch, stream a violating trace file in small chunks, and
 # assert a background follower receives both the violation push and the
 # completed repair report, that the stats reply reports the
-# subscription, and that --from-seq replay serves the full history to a
-# late subscriber.
+# subscription, that --from-seq replay serves the full history to a
+# late subscriber, and that a client's batch submit of the same trace
+# file is the watch's last repair job, already cached.
 #
 # With --chaos, two failure drills on top:
 #   1. the follower is SIGKILLed mid-stream, more violations fire while
@@ -110,6 +111,21 @@ echo "follower got violation + repair pushes"
 grep -q '"event":"violation"' "$WORK/replay.log" \
   || { echo "FAIL: replay missed the violation"; cat "$WORK/replay.log"; exit 1; }
 echo "from-seq replay served the history"
+
+# cross-form batch == stream: the watch submits its history as per-group
+# tallies; a client submitting the same history as trace text names the
+# same job, already settled by the watch's repair
+VIOLATIONS=$(grep -c 'violated=true' "$WORK/append.log")
+LAST_JOB=$(grep -o 'job=[0-9a-f]*' "$WORK/append.log" | tail -1 | cut -d= -f2)
+"$TML" watch follow w1 --socket "$SOCK" --from-seq 0 \
+  --max-events $((2 * VIOLATIONS)) --idle-exit 30 > "$WORK/all.log" 2>&1 || true
+grep '"event":"repair"' "$WORK/all.log" | grep -q "\"job\":\"$LAST_JOB\"" \
+  || { echo "FAIL: no repair push for the last job $LAST_JOB"; cat "$WORK/all.log"; exit 1; }
+BATCH=$("$TML" client data-repair --socket "$SOCK" --async -t "$WORK/trace.txt" \
+  --init 0 "${SPEC[@]}")
+[ "$BATCH" = "$LAST_JOB (cached)" ] \
+  || { echo "FAIL: batch submit printed '$BATCH', want '$LAST_JOB (cached)'"; exit 1; }
+echo "batch trace submit = the watch's last repair job (cached)"
 
 "$TML" watch unwatch w1 --socket "$SOCK" | grep -q "unwatched w1" \
   || { echo "FAIL: unwatch"; exit 1; }

@@ -73,7 +73,7 @@ let test_wsn_e4_data_repair () =
        Alcotest.(check bool) (g ^ " non-empty") true (traces <> []))
     groups;
   let rewards = Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one) in
-  let sp = Data_repair.spec ~pinned:[ "success" ] groups in
+  let sp = Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups) in
   match
     Data_repair.repair ~n:9 ~init:8
       ~labels:[ ("delivered", [ 0 ]) ]
@@ -101,7 +101,8 @@ let test_wsn_learning_recovers_chain () =
         Trace.of_states (Dtmc.simulate rng d ~max_steps:400 ()))
   in
   let learned =
-    Mle.learn_dtmc ~n:9 ~init:8 ~labels:[ ("delivered", [ 0 ]) ] traces
+    Mle.learn_dtmc ~n:9 ~init:8 ~labels:[ ("delivered", [ 0 ]) ]
+      (Tally.of_traces traces)
   in
   (* compare a couple of edges *)
   Alcotest.(check bool) "self-loop close" true

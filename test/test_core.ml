@@ -120,8 +120,9 @@ let test_model_repair_reward_property () =
 (* ---------------- Data repair ---------------- *)
 
 let biased_traces ~good ~bad =
-  List.init good (fun _ -> Trace.of_states [ 0; 1 ])
-  @ List.init bad (fun _ -> Trace.of_states [ 0; 2 ])
+  Tally.of_traces
+    (List.init good (fun _ -> Trace.of_states [ 0; 1 ])
+     @ List.init bad (fun _ -> Trace.of_states [ 0; 2 ]))
 
 let test_data_repair_feasible () =
   (* 30% of traces reach goal; require P(F goal) >= 0.5 by dropping some of
@@ -178,10 +179,10 @@ let test_data_repair_infeasible () =
   | _ -> Alcotest.fail "expected Infeasible"
 
 let test_data_repair_spec_validation () =
-  (match DR.spec ~max_drop:1.5 [ ("g", []) ] with
+  (match DR.spec ~max_drop:1.5 [ ("g", Tally.empty) ] with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "bad max_drop accepted");
-  match DR.spec ~pinned:[ "nope" ] [ ("g", []) ] with
+  match DR.spec ~pinned:[ "nope" ] [ ("g", Tally.empty) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown pinned group accepted"
 

@@ -1,4 +1,4 @@
-(* Tests for Dtmc_io and Spec_io. *)
+(* Tests for Dtmc_io, Spec_io, Mdp_io and Trace_io. *)
 
 let sample =
   "# a comment\n\
@@ -271,6 +271,74 @@ let test_traces_roundtrip () =
          t1 t2)
     groups groups2
 
+(* The sample as tallies: trace lines and an equivalent tally line fold
+   to the same canonical tally, whatever their order. *)
+let test_tallies () =
+  let groups = Trace_io.parse_tallies ~n:3 traces_sample in
+  Alcotest.(check (list string)) "group order" [ ""; "clean"; "field" ]
+    (List.map fst groups);
+  let clean = List.assoc "clean" groups in
+  Alcotest.(check int) "clean traces" 2 clean.Tally.traces;
+  Alcotest.(check (list (triple int int int))) "clean transitions"
+    [ (0, 1, 1); (0, 2, 1); (1, 2, 1) ] clean.Tally.transitions;
+  Alcotest.(check bool) "same as folding the parsed traces" true
+    (groups = Tally.of_groups (Trace_io.parse traces_sample));
+  let mixed =
+    "group clean\ntally 1 1:2:1 0:1:1\n0 2\ngroup field\n0 2\n\
+     group\tempty\ngroup clean\n"
+  in
+  Alcotest.(check bool) "trace and tally lines mix" true
+    (Trace_io.parse_tallies ~n:3 mixed
+     = List.filter (fun (g, _) -> g <> "") groups
+       @ [ ("empty", Tally.empty) ]);
+  Alcotest.(check bool) "round trip" true
+    (Trace_io.parse_tallies ~n:3 (Trace_io.tallies_to_string groups) = groups);
+  Alcotest.(check string) "canonical text"
+    "tally 1 0:1:1 1:2:1\ngroup clean\ntally 2 0:1:1 0:2:1 1:2:1\n\
+     group field\ntally 1 0:2:1\n"
+    (Trace_io.tallies_to_string groups);
+  Alcotest.(check bool) "duplicate cells sum" true
+    (Trace_io.parse_tallies ~n:3 "tally 3 0:1:2 0:1:5\n"
+     = [ ("", Tally.make ~traces:3 [ (0, 1, 7) ]) ]);
+  Alcotest.(check bool) "an unused default group is dropped" true
+    (Trace_io.parse_tallies ~n:3 "tally 0\ngroup g\n"
+     = [ ("g", Tally.empty) ])
+
+(* Every malformed tally line, and every state outside [0, n), is a
+   Parse_error naming its line. *)
+let test_tally_errors () =
+  let fails what ~line text =
+    match Trace_io.parse_tallies ~n:3 text with
+    | _ -> Alcotest.failf "%s: expected Parse_error" what
+    | exception Trace_io.Parse_error msg ->
+      let prefix = Printf.sprintf "line %d: " line in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names line %d" what msg line)
+        true
+        (String.length msg >= String.length prefix
+         && String.sub msg 0 (String.length prefix) = prefix)
+  in
+  fails "negative trace count" ~line:1 "tally -1\n";
+  fails "non-integer trace count" ~line:2 "0 1\ntally 1.5 0:1:1\n";
+  fails "hex count" ~line:1 "tally 0x2 0:1:1\n";
+  fails "negative transition count" ~line:1 "tally 2 0:1:-3\n";
+  fails "zero transition count" ~line:1 "tally 2 0:1:0\n";
+  fails "non-integer transition count" ~line:1 "tally 2 0:1:x\n";
+  fails "short cell" ~line:1 "tally 2 0:1\n";
+  fails "missing trace count" ~line:1 "tally\n";
+  fails "transitions with trace count 0" ~line:1 "tally 0 0:1:1\n";
+  fails "tally state out of range" ~line:3 "0 1\n\ntally 1 0:3:1\n";
+  fails "trace state out of range" ~line:2 "0 1\n0 7\n";
+  fails "lone trace state out of range" ~line:1 "5\n";
+  fails "count overflows an int" ~line:1 "tally 99999999999999999999999\n";
+  fails "sum passes 2^53" ~line:2 "tally 9007199254740992\ntally 1\n";
+  fails "cell sum passes 2^53" ~line:2
+    "tally 1 0:1:9007199254740992\ntally 1 0:1:1\n";
+  match Trace_io.parse "0 1\ntally 1 0:1:1\n" with
+  | _ -> Alcotest.fail "the trace form accepted a tally line"
+  | exception Trace_io.Parse_error msg ->
+    Alcotest.(check string) "trace form" "line 2: a tally line has no trace form" msg
+
 let () =
   Alcotest.run "io"
     [ ( "dtmc_io",
@@ -295,5 +363,7 @@ let () =
       ( "trace_io",
         [ Alcotest.test_case "parse" `Quick test_traces_parse;
           Alcotest.test_case "roundtrip" `Quick test_traces_roundtrip;
+          Alcotest.test_case "tallies" `Quick test_tallies;
+          Alcotest.test_case "tally errors" `Quick test_tally_errors;
         ] );
     ]

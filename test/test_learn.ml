@@ -19,7 +19,10 @@ let test_learn_dtmc () =
       Trace.of_states [ 0; 1 ]; Trace.of_states [ 0; 2 ];
     ]
   in
-  let d = Mle.learn_dtmc ~n:3 ~init:0 ~labels:[ ("goal", [ 1 ]) ] traces in
+  let d =
+    Mle.learn_dtmc ~n:3 ~init:0 ~labels:[ ("goal", [ 1 ]) ]
+      (Tally.of_traces traces)
+  in
   Alcotest.(check (float 1e-12)) "p01" 0.75 (Dtmc.prob d 0 1);
   Alcotest.(check (float 1e-12)) "p02" 0.25 (Dtmc.prob d 0 2);
   (* unobserved sources become absorbing *)
@@ -30,14 +33,16 @@ let test_learn_dtmc_smoothing () =
   let traces = [ Trace.of_states [ 0; 1 ]; Trace.of_states [ 0; 1 ] ] in
   let d =
     Mle.learn_dtmc ~n:3 ~init:0 ~smoothing:1.0
-      ~support:[ (0, 1); (0, 2) ] traces
+      ~support:[ (0, 1); (0, 2) ] (Tally.of_traces traces)
   in
   (* counts: 0->1: 2+1, 0->2: 0+1 *)
   Alcotest.(check (float 1e-12)) "smoothed p01" 0.75 (Dtmc.prob d 0 1);
   Alcotest.(check (float 1e-12)) "smoothed p02" 0.25 (Dtmc.prob d 0 2);
   Alcotest.check_raises "negative smoothing"
     (Invalid_argument "Mle.learn_dtmc: negative smoothing") (fun () ->
-        ignore (Mle.learn_dtmc ~n:2 ~init:0 ~smoothing:(-1.0) traces))
+        ignore
+          (Mle.learn_dtmc ~n:2 ~init:0 ~smoothing:(-1.0)
+             (Tally.of_traces traces)))
 
 let test_learn_mdp_dists () =
   let m =
@@ -75,7 +80,7 @@ let test_parametric_mle () =
       ("y", [ Trace.of_states [ 0; 2 ] ]);
     ]
   in
-  let pd = Mle.parametric_mle ~n:3 ~init:0 ~groups () in
+  let pd = Mle.parametric_mle ~n:3 ~init:0 ~groups:(Tally.of_groups groups) () in
   Alcotest.(check (list string)) "params" [ "x"; "y" ] (Pdtmc.params pd);
   (* evaluate at x=0, y=0: counts 2 vs 1 *)
   let at vx vy =
@@ -91,7 +96,7 @@ let test_parametric_mle () =
   Alcotest.(check (float 1e-12)) "y=1" 1.0 (at Q.zero Q.one);
   Alcotest.check_raises "duplicate groups"
     (Invalid_argument "Mle.parametric_mle: duplicate group names") (fun () ->
-        ignore (Mle.parametric_mle ~n:2 ~init:0 ~groups:[ ("g", []); ("g", []) ] ()))
+        ignore (Mle.parametric_mle ~n:2 ~init:0 ~groups:[ ("g", Tally.empty); ("g", Tally.empty) ] ()))
 
 (* ---------------- IRL ---------------- *)
 
@@ -175,7 +180,7 @@ let props =
               List.init 600 (fun _ ->
                   Trace.of_states (Dtmc.simulate rng truth ~max_steps:6 ()))
             in
-            let learned = Mle.learn_dtmc ~n:3 ~init:0 traces in
+            let learned = Mle.learn_dtmc ~n:3 ~init:0 (Tally.of_traces traces) in
             Float.abs (Dtmc.prob learned 0 1 -. p) < 0.08));
   ]
 

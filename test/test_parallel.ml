@@ -287,7 +287,7 @@ let test_data_repair_identical () =
   let p = Wsn.default_params in
   let groups = Wsn.observation_groups (Prng.create 42) p ~count:600 in
   let rewards = Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one) in
-  let sp = Data_repair.spec ~pinned:[ "success" ] groups in
+  let sp = Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups) in
   check_pooled_identical ~repeats:40 "wsn data repair" (fun () ->
       Data_repair.repair ~n:9 ~init:8
         ~labels:[ ("delivered", [ 0 ]) ]

@@ -465,6 +465,67 @@ let test_submit_wait_poll_cancel () =
        Client.submit c
          (Wire.Check_req { model = "garbage"; phi = "P>=0.5 [ F goal ]" }))
 
+(* Trace data is folded into tallies at decode, so a state outside the
+   model or a malformed tally line is a bad-request reply to the submit,
+   naming its line: it takes no admission ticket and no worker. *)
+let test_bad_traces_rejected_at_submit () =
+  with_server @@ fun addr _server _router ->
+  Client.with_client addr @@ fun c ->
+  let data traces =
+    Wire.Data_repair_req
+      {
+        states = 3;
+        init = 0;
+        labels = [ ("goal", [ 1 ]) ];
+        rewards = None;
+        phi = "P>=0.5 [ F goal ]";
+        traces;
+        max_drop = 0.9;
+        pinned = [];
+        starts = 1;
+        backend = "nlp";
+      }
+  in
+  let pipeline traces =
+    Wire.Pipeline_req
+      {
+        states = 3;
+        init = 0;
+        labels = [ ("goal", [ 1 ]) ];
+        rewards = None;
+        model_spec = None;
+        data_spec = Some (0.9, []);
+        traces;
+        phi = "P>=0.5 [ F goal ]";
+      }
+  in
+  let rejected what ~line jr =
+    match Client.submit c jr with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Client.Remote_error e ->
+      Alcotest.(check string) (what ^ ": kind") "bad-request" e.Wire.kind;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names line %d" what e.Wire.message line)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " line)
+           e.Wire.message)
+  in
+  rejected "data repair, state out of range" ~line:2 (data "0 1\n0 3\n");
+  rejected "pipeline, state out of range" ~line:1 (pipeline "0 9 1\n");
+  rejected "data repair, negative tally count" ~line:2
+    (data "0 1\ntally 2 0:2:-1\n");
+  rejected "pipeline, tally transitions without traces" ~line:1
+    (pipeline "tally 0 0:1:4\n");
+  rejected "pipeline, tally overflow" ~line:1
+    (pipeline "tally 1 0:1:99999999999999999999999\n");
+  (* the same data as traces and as a tally is one job *)
+  let d1, _ = Client.submit c (data "0 1\n0 2\n0 1\n") in
+  let d2, _ = Client.submit c (data "tally 3 0:2:1 0:1:2\n") in
+  Alcotest.(check string) "trace and tally payloads share a digest" d1 d2;
+  match Client.wait c d1 with
+  | Wire.Job_done _ -> ()
+  | _ -> Alcotest.fail "the valid submit runs to completion"
+
 let test_wait_timeout_and_cancel () =
   with_delay_faults ~fires:4 ~delay:0.4 @@ fun () ->
   with_server ~workers:1 @@ fun addr _server _router ->
@@ -1180,6 +1241,8 @@ let () =
             test_ping_stats_over_unix_socket;
           Alcotest.test_case "submit/wait/poll/cancel" `Quick
             test_submit_wait_poll_cancel;
+          Alcotest.test_case "bad trace data rejected at submit" `Quick
+            test_bad_traces_rejected_at_submit;
           Alcotest.test_case "wait timeout and cancel" `Quick
             test_wait_timeout_and_cancel;
           Alcotest.test_case "admission sheds overloaded" `Quick

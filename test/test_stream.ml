@@ -1,11 +1,12 @@
 (* Tests for lib/stream: the incremental learner's differential
    correctness against the batch path (any chunking of a trace stream —
-   including mid-line splits — produces byte-identical counts, groups,
-   parameter points, job digests and repair reports), absolute line
-   numbers in cross-chunk validation errors, the incremental checker's
-   cached/eliminated paths, and the watch hub end to end (subscriptions,
-   violation → repair notifications, replay catch-up, push frames on a
-   live server interleaved with a protocol-1 client's replies). *)
+   including mid-line splits — produces identical counts, tallies,
+   parameter points, job digests and repair reports), its bounded
+   memory, absolute line numbers in cross-chunk validation errors, the
+   incremental checker's cached/eliminated paths, and the watch hub end
+   to end (subscriptions, violation → repair notifications, replay
+   catch-up, push frames on a live server interleaved with a protocol-1
+   client's replies). *)
 
 let sock_counter = ref 0
 
@@ -57,6 +58,21 @@ let car_spec =
 
 let car_groups () = [ ("expert", Car.expert_traces 4) ]
 
+(* The property test's spec: [states] and the goal label are set per
+   case. *)
+let tiny_watch_spec =
+  {
+    Wire.states = 3;
+    init = 0;
+    labels = [];
+    rewards = None;
+    phi = "P<=0.3 [ F<=2 goal ]";
+    max_drop = 0.9;
+    pinned = [];
+    starts = 1;
+    backend = "nlp";
+  }
+
 (* Split [text] into [k] byte chunks (mid-line splits included — that is
    the point: chunk boundaries must be invisible). *)
 let split_bytes text k =
@@ -101,8 +117,8 @@ let check_counts_equal what a b =
 let differential_case ?(expect_params = true) name n
     (spec : Wire.watch_spec) groups () =
   let text = Trace_io.to_string groups in
-  let batch_groups = Trace_io.parse text in
-  let batch_counts = Mle.transition_counts ~n (all_traces batch_groups) in
+  let batch_counts = Mle.transition_counts ~n (all_traces (Trace_io.parse text)) in
+  let batch_tallies = Trace_io.parse_tallies ~n text in
   let batch_jr = Wire.Data_repair_req
       {
         states = spec.Wire.states;
@@ -128,13 +144,13 @@ let differential_case ?(expect_params = true) name n
       let l = stream n chunks in
       check_counts_equal what (Inc_learn.counts l) batch_counts;
       Alcotest.(check bool)
-        (what ^ ": groups identical") true
-        (Inc_learn.groups l = batch_groups);
-      (* the streamed job: canonical re-rendering of the accumulated
-         groups decodes to the same Job.t — equal digests *)
+        (what ^ ": tallies identical") true
+        (Inc_learn.tallies l = batch_tallies);
+      (* the streamed job: the rendered tallies decode to the same Job.t
+         as the trace text — equal digests *)
       let streamed_jr =
         Wire.job_request_of_watch spec
-          ~traces:(Trace_io.to_string (Inc_learn.groups l))
+          ~traces:(Trace_io.tallies_to_string (Inc_learn.tallies l))
       in
       Alcotest.(check string)
         (what ^ ": job digest") batch_digest
@@ -181,7 +197,7 @@ let test_differential_report () =
   let streamed =
     Wire.job_of_request
       (Wire.job_request_of_watch car_spec
-         ~traces:(Trace_io.to_string (Inc_learn.groups l)))
+         ~traces:(Trace_io.tallies_to_string (Inc_learn.tallies l)))
   in
   let batch =
     Wire.job_of_request
@@ -192,6 +208,142 @@ let test_differential_report () =
   let report j = Format.asprintf "%a" Job.pp_outcome (Job.run j) in
   Alcotest.(check string) "reports byte-identical" (report batch)
     (report streamed)
+
+(* The differential property on generated data: a default group (or
+   none), named groups (some empty), action-carrying traces as in the car
+   case, traces shuffled within their groups, random byte chunkings, and
+   text mixing trace lines with tally lines.  Every form folds to the
+   same tallies, so every form is one Data Repair job and one Pipeline
+   job with byte-identical reports. *)
+
+type gen_case = {
+  n : int;
+  groups : (string * Trace.t list) list;
+  seed : int;  (* shuffles, splits and chunk cuts *)
+}
+
+let gen_case =
+  let open QCheck2.Gen in
+  let* n = int_range 3 5 in
+  let* actions = bool in
+  let trace =
+    let* states = list_size (int_range 1 5) (int_bound (n - 1)) in
+    let+ acts =
+      list_size (return (List.length states - 1)) (oneofl [ "fwd"; "left"; "right" ])
+    in
+    match List.rev states with
+    | final :: rev_steps when actions ->
+      Trace.make (List.combine (List.rev rev_steps) acts) final
+    | _ -> Trace.of_states states
+  in
+  let* default = list_size (int_range 0 4) trace in
+  let* named = list_size (int_range 1 3) (list_size (int_range 0 6) trace) in
+  let+ seed = int in
+  let groups =
+    (if default = [] then [] else [ ("", default) ])
+    @ List.mapi (fun i traces -> (Printf.sprintf "g%d" i, traces)) named
+  in
+  { n; groups; seed }
+
+let print_case c = Printf.sprintf "n=%d seed=%d\n%s" c.n c.seed (Trace_io.to_string c.groups)
+
+let shuffle st l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+(* Each group's traces split in two: the first part as trace lines, the
+   rest as one tally line — the default group's right away (no directive
+   can return to it), the named groups' after revisiting them. *)
+let mixed_text st groups =
+  let split traces =
+    let k = Random.State.int st (List.length traces + 1) in
+    (List.filteri (fun i _ -> i < k) traces, List.filteri (fun i _ -> i >= k) traces)
+  in
+  let parts = List.map (fun (g, traces) -> (g, split traces)) groups in
+  let tally_line g rest = Trace_io.tallies_to_string [ (g, Tally.of_traces rest) ] in
+  String.concat ""
+    (List.map
+       (fun (g, (first, rest)) ->
+          Trace_io.to_string [ (g, first) ] ^ if g = "" then tally_line g rest else "")
+       parts
+     @ List.filter_map
+         (fun (g, (_, rest)) -> if g = "" then None else Some (tally_line g rest))
+         parts)
+
+let random_chunks st text =
+  let len = String.length text in
+  let cuts =
+    List.sort_uniq compare
+      (List.init (Random.State.int st 6) (fun _ -> Random.State.int st (len + 1)))
+  in
+  let rec go from = function
+    | [] -> [ String.sub text from (len - from) ]
+    | c :: rest -> String.sub text from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let prop_forms_agree c =
+  let st = Random.State.make [| c.seed |] in
+  let n = c.n in
+  let trace_text = Trace_io.to_string c.groups in
+  let tallies = Trace_io.parse_tallies ~n trace_text in
+  let l = stream n (random_chunks st trace_text) in
+  let forms =
+    [
+      ("trace text", trace_text);
+      ( "shuffled trace text",
+        Trace_io.to_string (List.map (fun (g, ts) -> (g, shuffle st ts)) c.groups) );
+      ("tally text", Trace_io.tallies_to_string tallies);
+      ("mixed text", mixed_text st c.groups);
+      ("learner tallies", Trace_io.tallies_to_string (Inc_learn.tallies l));
+    ]
+  in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_report m) fmt in
+  if tallies <> Tally.of_groups c.groups then fail "parse_tallies <> Tally.of_groups";
+  if Inc_learn.tallies l <> tallies then fail "learner tallies <> batch tallies";
+  if Trace_io.parse_tallies ~n (Trace_io.tallies_to_string tallies) <> tallies then
+    fail "render/parse round trip";
+  let spec =
+    { tiny_watch_spec with Wire.states = n; labels = [ ("goal", [ n - 1 ]) ] }
+  in
+  let pipeline traces =
+    Wire.Pipeline_req
+      {
+        states = n;
+        init = 0;
+        labels = spec.Wire.labels;
+        rewards = None;
+        model_spec = None;
+        data_spec = Some (spec.Wire.max_drop, []);
+        traces;
+        phi = spec.Wire.phi;
+      }
+  in
+  let outcome jr =
+    let job = Wire.job_of_request jr in
+    ( Job.digest job,
+      match Job.run job with
+      | o -> Format.asprintf "%a" Job.pp_outcome o
+      | exception e -> Printexc.to_string e )
+  in
+  List.iter
+    (fun mk ->
+       let ref_digest, ref_report = outcome (mk trace_text) in
+       List.iter
+         (fun (what, text) ->
+            let digest, report = outcome (mk text) in
+            if digest <> ref_digest then fail "%s: digest differs" what;
+            if report <> ref_report then
+              fail "%s: report differs:\n%s\nvs\n%s" what report ref_report)
+         (List.tl forms))
+    [ (fun traces -> Wire.job_request_of_watch spec ~traces); pipeline ];
+  true
+
+let test_forms_agree =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20261017 |])
+    (QCheck2.Test.make ~name:"trace, tally and streamed forms agree" ~count:60
+       ~print:print_case gen_case prop_forms_agree)
 
 (* ------------------------ line numbers / atomicity -------------------- *)
 
@@ -230,12 +382,36 @@ let test_group_split_across_chunks () =
   let l = Inc_learn.create ~n:3 in
   ignore (Inc_learn.append l "group a\n0 1\ngro" : Inc_learn.append_result);
   ignore (Inc_learn.append l "up b\n0 2\n" : Inc_learn.append_result);
-  let groups = Inc_learn.groups l in
+  let groups = Inc_learn.tallies l in
   Alcotest.(check (list string))
     "groups in order" [ "a"; "b" ] (List.map fst groups);
   Alcotest.(check bool)
     "same as batch parse" true
-    (groups = Trace_io.parse "group a\n0 1\ngroup b\n0 2\n")
+    (groups = Trace_io.parse_tallies ~n:3 "group a\n0 1\ngroup b\n0 2\n")
+
+(* A learner keeps one tally per group, not the traces it has seen: its
+   memory stops growing once the support is saturated.  Appends are
+   watch_stream-shaped chunks of 14 WSN observations (plus group
+   headers), cycling through a pool of distinct draws. *)
+let test_bounded_memory () =
+  let pool =
+    Array.init 64 (fun i ->
+        Trace_io.to_string
+          (Wsn.observation_groups (Prng.create (1000 + i)) wsn_params ~count:14))
+  in
+  let l = Inc_learn.create ~n:wsn_n in
+  let words () = Obj.reachable_words (Obj.repr l) in
+  let at_1k = ref 0 in
+  for i = 1 to 50_000 do
+    ignore (Inc_learn.append l pool.(i mod 64) : Inc_learn.append_result);
+    if i = 1_000 then at_1k := words ()
+  done;
+  let at_50k = words () in
+  Alcotest.(check int) "every observation counted" (50_000 * 14)
+    (Inc_learn.trace_count l);
+  if float_of_int at_50k > 1.05 *. float_of_int !at_1k then
+    Alcotest.failf "learner grew from %d words after 1k appends to %d after 50k"
+      !at_1k at_50k
 
 (* --------------------------- incremental check ------------------------ *)
 
@@ -558,6 +734,7 @@ let () =
             test_differential_car;
           Alcotest.test_case "streamed report = batch report" `Slow
             test_differential_report;
+          test_forms_agree;
         ] );
       ( "learner",
         [
@@ -565,6 +742,7 @@ let () =
             test_absolute_line_numbers;
           Alcotest.test_case "group split across chunks" `Quick
             test_group_split_across_chunks;
+          Alcotest.test_case "bounded memory" `Quick test_bounded_memory;
         ] );
       ( "checker",
         [
