@@ -110,10 +110,9 @@ let fold_tallies ~n ~first_line ~group lines =
     if s < 0 || s >= n then
       fail lineno (Printf.sprintf "state %d out of range [0,%d)" s n)
   in
-  (* a summed cell passes Tally.limit only when its group is built; the
-     error names the last line that added data *)
-  let last = ref first_line in
-  let add lineno b l =
+  (* a summed cell passes 2^53 only when its group is built, so each
+     group remembers the last line that added data to it *)
+  let add lineno (b, last) l =
     last := lineno;
     try
       match l with
@@ -128,13 +127,17 @@ let fold_tallies ~n ~first_line ~group lines =
       | Blank | Group _ -> ()
     with Invalid_argument msg -> fail lineno msg
   in
-  let groups, current = walk ~first_line ~group ~fresh:Tally.builder ~add lines in
-  let build b = try Tally.build b with Invalid_argument msg -> fail !last msg in
-  (List.map (fun (name, b) -> (name, build b)) groups, current)
+  let fresh () = (Tally.builder (), ref first_line) in
+  let groups, current = walk ~first_line ~group ~fresh ~add lines in
+  let build (name, (b, last)) =
+    try (name, Tally.build b, !last) with Invalid_argument msg -> fail !last msg
+  in
+  (List.map build groups, current)
 
-let parse_tallies ?(first_line = 1) ~n text =
-  fst (fold_tallies ~n ~first_line ~group:"" (lines_of text))
-  |> List.filter (fun (name, t) -> name <> "" || t.Tally.traces > 0)
+let parse_tallies ~n text =
+  fst (fold_tallies ~n ~first_line:1 ~group:"" (lines_of text))
+  |> List.filter_map (fun (name, t, _) ->
+      if name <> "" || t.Tally.traces > 0 then Some (name, t) else None)
 
 let of_file ~n path =
   let ic = open_in path in

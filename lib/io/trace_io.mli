@@ -22,33 +22,34 @@
     MLE ({!Tally}).  It is additive: a group's tally is the sum of its
     trace lines and its tally lines, in any order.  Every number on a
     tally line is a plain decimal integer; transition counts are positive,
-    [N = 0] carries no transitions, and no sum may pass {!Tally.limit}. *)
+    [N = 0] carries no transitions, and no sum may pass 2{^53}. *)
 
 exception Parse_error of string
 (** Messages start with ["line N: "], the line that failed. *)
 
 (** {1 Tallies: the form Data Repair and Pipeline consume} *)
 
-val parse_tallies : ?first_line:int -> n:int -> string -> (string * Tally.t) list
+val parse_tallies : n:int -> string -> (string * Tally.t) list
 (** Fold every line into its group's tally.  Groups come in order of first
     appearance; an unused default group (no traces) is dropped, named
-    empty groups are kept.  [first_line] (default 1) offsets reported line
-    numbers.
+    empty groups are kept.
     @raise Parse_error on a malformed line, a state outside [0 .. n-1]
-    (on a trace or a tally line) or a count overflow. *)
+    (on a trace or a tally line) or a count overflow.  A sum past 2{^53}
+    names the last line that added data to the group that overflowed. *)
 
 val fold_tallies :
   n:int ->
   first_line:int ->
   group:string ->
   string list ->
-  (string * Tally.t) list * string
+  (string * Tally.t * int) list * string
 (** The fold {!parse_tallies} is built on, for a stream consumed in
     chunks ({!Inc_learn}): fold complete [lines] (no newlines; the first
     is line [first_line]) starting in group [group].  Returns every group
     the lines touched — [group] first, then in order of first appearance,
-    none dropped — and the group in effect after the last line.  Raises
-    as {!parse_tallies}. *)
+    none dropped — each with its tally and the last line that added data
+    to it ([first_line] when none did), and the group in effect after the
+    last line.  Raises as {!parse_tallies}. *)
 
 val of_file : n:int -> string -> (string * Tally.t) list
 (** {!parse_tallies} on a file's contents. *)

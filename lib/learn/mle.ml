@@ -12,7 +12,11 @@ let counts ~n (t : Tally.t) =
     t.Tally.transitions;
   c
 
-let transition_counts ~n traces = counts ~n (Tally.of_traces traces)
+(* A tally keeps no cell for a lone-state trace, so check every state of
+   the traces themselves. *)
+let transition_counts ~n traces =
+  List.iter (fun tr -> List.iter (check_state n) (Trace.states tr)) traces;
+  counts ~n (Tally.of_traces traces)
 
 let observed_support counts =
   let n = Array.length counts in

@@ -13,13 +13,15 @@
 
 val counts : n:int -> Tally.t -> float array array
 (** [counts.(s).(d)] = the tally's [s -> d] count, as a float (exact:
-    counts stay below {!Tally.limit}).
+    counts stay below 2{^53}).
     @raise Invalid_argument when a transition names a state outside
     [0 .. n-1]. *)
 
 val transition_counts : n:int -> Trace.t list -> float array array
 (** {!counts} of [Tally.of_traces traces]: the number of observed
-    [s -> d] steps, actions ignored. *)
+    [s -> d] steps, actions ignored.
+    @raise Invalid_argument when any trace state, a lone one included,
+    lies outside [0 .. n-1]. *)
 
 val learn_dtmc :
   n:int ->
@@ -33,7 +35,10 @@ val learn_dtmc :
 (** Row-normalised {!counts}. [smoothing] adds Laplace mass α to every edge of
     the [support] (default: the edges observed anywhere in the data).
     States never visited as sources become absorbing self-loops.
-    @raise Invalid_argument on empty data with no support, or bad states. *)
+    @raise Invalid_argument on negative smoothing, or when a transition
+    of the tally or an edge of [support] names a state outside
+    [0 .. n-1]; a tally keeps no record of lone-state traces, so their
+    states go unchecked. *)
 
 val learn_mdp_dists :
   Mdp.t -> ?smoothing:float -> Trace.t list -> Mdp.t

@@ -8,7 +8,10 @@
 
     The representation is canonical — transitions sorted by [(src, dst)],
     each present once with a positive count — so structural equality is
-    equality of the data, whatever order the traces arrived in. *)
+    equality of the data, whatever order the traces arrived in.
+
+    No count may exceed 2{^53}, so every count, and every sum {!Mle}
+    forms from them, is exact as a float. *)
 
 type t = private {
   traces : int;  (** number of traces folded in *)
@@ -17,10 +20,6 @@ type t = private {
           every count positive *)
 }
 
-val limit : int
-(** 2{^53}: no count may exceed it, so every count (and every sum
-    {!Mle} forms from them) is exact as a float. *)
-
 val empty : t
 
 val make : traces:int -> (int * int * int) list -> t
@@ -28,11 +27,11 @@ val make : traces:int -> (int * int * int) list -> t
     entries.
     @raise Invalid_argument on a negative trace count or state, a
     non-positive transition count, transitions with a trace count of 0,
-    or a count past {!limit}. *)
+    or a count past 2{^53}. *)
 
 val add : t -> t -> t
 (** The tally of the union of the two trace sets.
-    @raise Invalid_argument on a count past {!limit}. *)
+    @raise Invalid_argument on a count past 2{^53}. *)
 
 val of_traces : Trace.t list -> t
 
@@ -51,8 +50,8 @@ val builder : unit -> builder
 val add_trace : builder -> Trace.t -> unit
 
 val add_tally : builder -> t -> unit
-(** @raise Invalid_argument when the trace count passes {!limit}. *)
+(** @raise Invalid_argument when the trace count passes 2{^53}. *)
 
 val build : builder -> t
-(** @raise Invalid_argument when a summed count passes {!limit}, or on
+(** @raise Invalid_argument when a summed count passes 2{^53}, or on
     a negative state. *)

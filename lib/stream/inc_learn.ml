@@ -40,23 +40,24 @@ let consume (t : t) lines =
       lines
   in
   let groups =
-    try
-      List.fold_left
-        (fun groups (name, tally) ->
-           match List.assoc_opt name groups with
-           | Some _ when tally.Tally.traces = 0 -> groups
-           | Some old ->
-             let merged = Tally.add old tally in
-             List.map (fun ((g, _) as e) -> if g = name then (g, merged) else e) groups
-           | None -> groups @ [ (name, tally) ])
-        t.groups chunk
-    with Invalid_argument msg ->
-      raise (Trace_io.Parse_error (Printf.sprintf "line %d: %s" last_line msg))
+    List.fold_left
+      (fun groups (name, tally, line) ->
+         match List.assoc_opt name groups with
+         | Some _ when tally.Tally.traces = 0 -> groups
+         | Some old ->
+           let merged =
+             try Tally.add old tally
+             with Invalid_argument msg ->
+               raise (Trace_io.Parse_error (Printf.sprintf "line %d: %s" line msg))
+           in
+           List.map (fun ((g, _) as e) -> if g = name then (g, merged) else e) groups
+         | None -> groups @ [ (name, tally) ])
+      t.groups chunk
   in
   let new_traces = ref 0 in
   let support_before = t.support_size in
   List.iter
-    (fun (_, (tally : Tally.t)) ->
+    (fun (_, (tally : Tally.t), _) ->
        new_traces := !new_traces + tally.traces;
        List.iter
          (fun (s, d, c) ->

@@ -334,6 +334,9 @@ let test_tally_errors () =
   fails "sum passes 2^53" ~line:2 "tally 9007199254740992\ntally 1\n";
   fails "cell sum passes 2^53" ~line:2
     "tally 1 0:1:9007199254740992\ntally 1 0:1:1\n";
+  fails "a sum names its own group's line" ~line:6
+    "group a\ntally 1 0:1:9007199254740992\ngroup b\n0 2\n\
+     group a\ntally 1 0:1:1\ngroup b\n0 1\n";
   match Trace_io.parse "0 1\ntally 1 0:1:1\n" with
   | _ -> Alcotest.fail "the trace form accepted a tally line"
   | exception Trace_io.Parse_error msg ->

@@ -10,7 +10,10 @@ let test_transition_counts () =
   Alcotest.(check (float 0.0)) "1->1" 1.0 c.(1).(1);
   Alcotest.(check (float 0.0)) "none" 0.0 c.(2).(0);
   Alcotest.check_raises "out of range" (Invalid_argument "Mle: state 9 out of range [0,3)")
-    (fun () -> ignore (Mle.transition_counts ~n:3 [ Trace.of_states [ 0; 9 ] ]))
+    (fun () -> ignore (Mle.transition_counts ~n:3 [ Trace.of_states [ 0; 9 ] ]));
+  Alcotest.check_raises "lone state out of range"
+    (Invalid_argument "Mle: state 9 out of range [0,3)")
+    (fun () -> ignore (Mle.transition_counts ~n:3 [ Trace.of_states [ 9 ] ]))
 
 let test_learn_dtmc () =
   (* 3 of 4 transitions from 0 go to 1 *)

@@ -376,7 +376,18 @@ let test_absolute_line_numbers () =
    | exception Trace_io.Parse_error msg ->
      Alcotest.(check bool)
        (Printf.sprintf "error %S still names line 3" msg)
-       true (contains msg "line 3"))
+       true (contains msg "line 3"));
+  (* a sum past 2^53 names the line that fed the overflowing group, not
+     the chunk's last line *)
+  ignore
+    (Inc_learn.append l "group a\ntally 1 0:1:9007199254740992\n"
+     : Inc_learn.append_result);
+  match Inc_learn.append l "group b\n0 2\ngroup a\ntally 1 0:1:1\ngroup b\n0 1\n" with
+  | _ -> Alcotest.fail "overflowing sum accepted"
+  | exception Trace_io.Parse_error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error %S names stream line 8" msg)
+      true (contains msg "line 8")
 
 let test_group_split_across_chunks () =
   let l = Inc_learn.create ~n:3 in
