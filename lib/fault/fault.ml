@@ -208,8 +208,6 @@ let with_site site f =
 
 let at site = with_site site (fun () -> ())
 
-let active () = Atomic.get current <> None
-
 let corrupt site v =
   match Atomic.get current with
   | None -> v

@@ -28,9 +28,9 @@ type site =
   | Write
 (** Where a fault can fire — the four pipeline stages, cache fills, the
     worker dequeue loop, the intra-job subtask drain ([Subtask], probed
-    by pool workers before claiming a parallel-elimination or multistart
-    subtask — distinct from [Worker] so older occurrence-counted plans
-    replay unchanged), and the four connection-handling points of the
+    by pool workers before claiming a parallel-elimination subtask —
+    distinct from [Worker] so older occurrence-counted plans replay
+    unchanged), and the four connection-handling points of the
     repair server ([Accept]/[Read]/[Decode]/[Write], probed by
     [lib/server] per accepted connection, received frame, decoded request
     and written response). *)
@@ -81,12 +81,6 @@ val with_site : site -> (unit -> 'a) -> 'a
 val at : site -> unit
 (** [with_site site (fun () -> ())] — probe-only form for sites with no
     meaningful body ([Cache] fills, [Worker] dequeues). *)
-
-val active : unit -> bool
-(** A plan is currently installed.  Parallel code paths whose fault
-    probes are occurrence-ordered (the NLP multistart) consult this to
-    fall back to their sequential schedule under chaos, keeping firing
-    decisions deterministic. *)
 
 val corrupt : site -> float -> float
 (** Identity, unless a [Nan] fault armed [site] on this domain, in which

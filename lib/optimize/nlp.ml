@@ -140,22 +140,7 @@ let solve ?(method_ = Penalty) ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
     | Penalty -> solve_penalty ~max_iter p
     | Augmented_lagrangian -> solve_auglag ~max_iter p
   in
-  (* The starts are independent by construction: the point list is
-     generated up front from the seeded PRNG (deterministic regardless of
-     who consumes it), and each [run] owns its scratch buffer.  Fanning
-     them out over the domain pool therefore yields the exact candidate
-     list of the sequential map — [Parallel.map_list] preserves order and
-     re-raises the lowest-indexed exception, which is the one the
-     sequential map would have raised first.  Under an installed fault
-     plan we stay sequential: [Fault.corrupt] draws from a per-site coin
-     sequence, and reordering evaluations would change which evaluation
-     gets corrupted, breaking chaos-replay determinism. *)
-  let candidates =
-    let points = start_points ~starts ~seed p in
-    if Parallel.enabled () && not (Fault.active ()) then
-      Parallel.map_list run points
-    else List.map run points
-  in
+  let candidates = List.map run (start_points ~starts ~seed p) in
   let solutions = List.map (mk_solution ~feas_tol p) candidates in
   let feasible = List.filter (fun s -> s.max_violation <= feas_tol) solutions in
   let diverged best =
@@ -193,6 +178,10 @@ let solve ?(method_ = Penalty) ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
 
 (* --------------------------- fallback ladder --------------------------- *)
 
+(* Augmented Lagrangian, then penalty, then penalty with 3×starts — the
+   escalation order suggested by "Model Repair Revamped": try the sharper
+   method first, fall back to the more robust one, then widen the
+   multistart before conceding infeasibility. *)
 type rung = { rung_label : string; rung_method : method_; rung_starts : int }
 
 let default_rungs ~starts =
@@ -208,10 +197,8 @@ let rung_counter =
   Metrics.counter "tml_nlp_rungs_total"
     ~help:"NLP fallback-ladder rungs attempted"
 
-let solve_with_fallback ?rungs ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
+let solve_with_fallback ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
     ?(max_iter = 4000) p =
-  let rungs = match rungs with Some r -> r | None -> default_rungs ~starts in
-  if rungs = [] then invalid_arg "Nlp.solve_with_fallback: empty ladder";
   let attempt rung =
     Trace_span.with_span "nlp:rung"
       ~attrs:
@@ -223,77 +210,28 @@ let solve_with_fallback ?rungs ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
          solve ~method_:rung.rung_method ~starts:rung.rung_starts ~seed
            ~feas_tol ~max_iter p)
   in
-  if Parallel.enabled () && not (Fault.active ()) && List.length rungs > 1
-  then begin
-    (* Speculative ladder: attempt every rung concurrently, then replay
-       the sequential fold over the results in rung order.  The fold is
-       what defines the answer, so it is byte-identical to the sequential
-       ladder: the first Feasible rung wins, a Fatal error in rung k
-       escapes only if rungs before k were all Infeasible or Transient
-       (a speculative Fatal past the winning rung is discarded — the
-       sequential ladder would never have attempted it), ties on
-       [max_violation] keep the earlier rung, and the LAST transient
-       failure wins when nothing converges.  [rung_counter] is bumped in
-       the fold, not the tasks, so it still counts exactly the rungs the
-       sequential ladder would have attempted.  Spans reflect the work
-       actually done, so speculative rungs do emit spans. *)
-    let results =
-      Parallel.map_list
-        (fun rung ->
-           match attempt rung with
-           | o -> `Done o
-           | exception (Tml_error.Error k as e)
-             when Tml_error.severity k = Tml_error.Transient -> `Transient e
-           | exception e -> `Fatal e)
-        rungs
-    in
-    let rec fold best_infeasible transient_failure = function
-      | [] -> (
-          match (best_infeasible, transient_failure) with
-          | Some (s, label), _ -> (Infeasible s, label)
-          | None, Some e -> raise e
-          | None, None -> assert false)
-      | (rung, res) :: rest -> (
-          Metrics.incr rung_counter;
-          match res with
-          | `Done (Feasible s) -> (Feasible s, rung.rung_label)
-          | `Done (Infeasible s) ->
-            let best =
-              match best_infeasible with
-              | Some (b, _) when b.max_violation <= s.max_violation ->
-                best_infeasible
-              | _ -> Some (s, rung.rung_label)
-            in
-            fold best transient_failure rest
-          | `Transient e -> fold best_infeasible (Some e) rest
-          | `Fatal e -> raise e)
-    in
-    fold None None (List.combine rungs results)
-  end
-  else begin
-    let rec go best_infeasible transient_failure = function
-      | [] -> (
-          (* no rung was feasible: report the least-violating point seen,
-             or re-raise if every rung failed to converge at all *)
-          match (best_infeasible, transient_failure) with
-          | Some (s, label), _ -> (Infeasible s, label)
-          | None, Some e -> raise e
-          | None, None -> assert false)
-      | rung :: rest -> (
-          Metrics.incr rung_counter;
-          match attempt rung with
-          | Feasible s -> (Feasible s, rung.rung_label)
-          | Infeasible s ->
-            let best =
-              match best_infeasible with
-              | Some (b, _) when b.max_violation <= s.max_violation ->
-                best_infeasible
-              | _ -> Some (s, rung.rung_label)
-            in
-            go best transient_failure rest
-          | exception (Tml_error.Error k as e)
-            when Tml_error.severity k = Tml_error.Transient ->
-            go best_infeasible (Some e) rest)
-    in
-    go None None rungs
-  end
+  let rec go best_infeasible transient_failure = function
+    | [] -> (
+        (* no rung was feasible: report the least-violating point seen,
+           or re-raise if every rung failed to converge at all *)
+        match (best_infeasible, transient_failure) with
+        | Some (s, label), _ -> (Infeasible s, label)
+        | None, Some e -> raise e
+        | None, None -> assert false)
+    | rung :: rest -> (
+        Metrics.incr rung_counter;
+        match attempt rung with
+        | Feasible s -> (Feasible s, rung.rung_label)
+        | Infeasible s ->
+          let best =
+            match best_infeasible with
+            | Some (b, _) when b.max_violation <= s.max_violation ->
+              best_infeasible
+            | _ -> Some (s, rung.rung_label)
+          in
+          go best transient_failure rest
+        | exception (Tml_error.Error k as e)
+          when Tml_error.severity k = Tml_error.Transient ->
+          go best_infeasible (Some e) rest)
+  in
+  go None None (default_rungs ~starts)

@@ -54,6 +54,8 @@ val solve :
   problem ->
   outcome
 (** Multistart (default 12 starts, seed 0, feasibility tolerance 1e-7).
+    The start points come from the seeded PRNG and are solved in order on
+    the calling domain, so one seed always gives one answer.
     Among feasible local optima the best objective wins.  NaN objective or
     constraint values are guarded to [+inf], so an objective that is
     undefined on part of the box cannot poison candidate selection.
@@ -62,29 +64,21 @@ val solve :
     produced a finite evaluation — a transient failure the runtime's
     retry layer may re-run. *)
 
-type rung = { rung_label : string; rung_method : method_; rung_starts : int }
-(** One rung of the graceful-degradation ladder of
-    {!solve_with_fallback}. *)
-
-val default_rungs : starts:int -> rung list
-(** Augmented Lagrangian, then penalty, then penalty with [3×starts] —
-    the escalation order suggested by "Model Repair Revamped": try the
-    sharper method first, fall back to the more robust one, then widen
-    the multistart before conceding infeasibility. *)
-
 val solve_with_fallback :
-  ?rungs:rung list ->
   ?starts:int ->
   ?seed:int ->
   ?feas_tol:float ->
   ?max_iter:int ->
   problem ->
   outcome * string
-(** Try each rung in order, returning the first feasible solution with
-    the label of the rung that produced it.  If no rung is feasible, the
-    least-violating infeasible point across all rungs is returned (with
-    its rung's label); transient non-convergence of individual rungs is
-    tolerated as long as some rung converges, and re-raised otherwise. *)
+(** A graceful-degradation ladder of three {!solve} rungs, tried in
+    order: ["augmented-lagrangian"] with [starts], ["penalty"] with
+    [starts], then ["penalty-wide"] with [3 × starts].  Returns the first
+    feasible solution with the label of the rung that produced it.  If
+    no rung is feasible, the least-violating infeasible point across all
+    rungs is returned (with its rung's label); transient non-convergence
+    of individual rungs is tolerated as long as some rung converges, and
+    re-raised otherwise. *)
 
 val max_violation : problem -> float array -> float
 val is_feasible : ?feas_tol:float -> problem -> float array -> bool

@@ -26,16 +26,3 @@ let run tasks =
     match Atomic.get hook with
     | None -> run_seq tasks
     | Some runner -> runner tasks
-
-let map_array f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    run (Array.init n (fun i -> fun () -> out.(i) <- Some (f xs.(i))));
-    Array.map
-      (function Some v -> v | None -> assert false (* runner ran every task *))
-      out
-  end
-
-let map_list f xs = Array.to_list (map_array f (Array.of_list xs))

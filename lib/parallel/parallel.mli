@@ -1,11 +1,10 @@
 (** Intra-job parallelism hook.
 
-    Kernel libraries (elimination, the NLP multistart) fan independent
-    units of work out through {!run}; the runtime layer installs a runner
-    backed by its domain pool (like {!Elimination.set_memo} and
-    {!Fault.set_observer}), and with no runner installed every call
-    degrades to running the tasks sequentially, in index order, on the
-    calling domain.
+    State elimination fans independent units of work out through {!run};
+    the runtime layer installs a runner backed by its domain pool (like
+    {!Elimination.set_memo} and {!Fault.set_observer}), and with no
+    runner installed every call degrades to running the tasks
+    sequentially, in index order, on the calling domain.
 
     {b Determinism contract.}  A runner must execute {e every} task
     exactly once and return only after all of them have finished.  Tasks
@@ -32,11 +31,3 @@ val run : (unit -> unit) array -> unit
 (** Execute the batch through the installed runner, or sequentially in
     index order when none is installed.  Either way: all tasks run, and
     the lowest-indexed failure is re-raised once the batch has settled. *)
-
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] over {!run}.  Results (and any re-raised
-    exception) are byte-identical to the sequential map: element order is
-    preserved and the lowest-indexed exception wins. *)
-
-val map_list : ('a -> 'b) -> 'a list -> 'b list
-(** {!map_array} over a list, preserving order. *)

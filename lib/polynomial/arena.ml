@@ -21,14 +21,14 @@ type t = {
   depth : int; (* max program depth: the scratch stack size *)
 }
 
-(* Evaluation scratch lives with the domain, not the program, so one
-   compiled program may be evaluated from several domains at once (the
-   NLP's concurrent starts and speculative rungs share their constraint
-   closures).  Systhreads of one domain share its scratch, and one may be
-   preempted mid-evaluation: [busy] marks the scratch taken, and a caller
-   that finds it taken evaluates on a fresh one.  [claim] tests and sets
-   [busy] with no allocation or poll point in between, so no thread
-   switch can split the two. *)
+(* Evaluation scratch lives with the domain, not the program, so a
+   compiled program stays immutable and any domain or thread may
+   evaluate it without a lock (a watch compiles its query once and
+   evaluates it on every later append).  Systhreads of one domain share
+   its scratch, and one may be preempted mid-evaluation: [busy] marks the
+   scratch taken, and a caller that finds it taken evaluates on a fresh
+   one.  [claim] tests and sets [busy] with no allocation or poll point
+   in between, so no thread switch can split the two. *)
 type scratch = {
   mutable busy : bool;
   mutable stack : float array;

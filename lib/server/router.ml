@@ -31,7 +31,6 @@ type t = {
      even though this node never ran the job *)
   replicas : (string, string) Hashtbl.t;
   replica_fifo : string Queue.t;
-  replica_cap : int;
   job_timeout_s : float option;
   retry : Retry.t option;
   mutable draining : bool;
@@ -41,7 +40,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let create ?admission ?job_timeout_s ?retry ?(replica_cap = 256) runtime =
+(* the replica store keeps at most this many reports, evicting FIFO *)
+let replica_cap = 256
+
+let create ?admission ?job_timeout_s ?retry runtime =
   {
     mutex = Mutex.create ();
     runtime;
@@ -52,7 +54,6 @@ let create ?admission ?job_timeout_s ?retry ?(replica_cap = 256) runtime =
     decode_memo = Hashtbl.create 64;
     replicas = Hashtbl.create 64;
     replica_fifo = Queue.create ();
-    replica_cap;
     job_timeout_s;
     retry;
     draining = false;
@@ -183,7 +184,7 @@ let put_report t ~digest ~report =
       if not (Hashtbl.mem t.replicas digest) then begin
         Hashtbl.replace t.replicas digest report;
         Queue.push digest t.replica_fifo;
-        while Queue.length t.replica_fifo > t.replica_cap do
+        while Queue.length t.replica_fifo > replica_cap do
           Hashtbl.remove t.replicas (Queue.pop t.replica_fifo)
         done
       end);

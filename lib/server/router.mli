@@ -24,14 +24,13 @@ val create :
   ?admission:Admission.t ->
   ?job_timeout_s:float ->
   ?retry:Retry.t ->
-  ?replica_cap:int ->
   Runtime.t ->
   t
 (** Route onto [runtime].  [job_timeout_s] and [retry] are passed to
     every {!Runtime.submit}.  [admission] defaults to
-    [Admission.create ()].  [replica_cap] (default 256) bounds the store
-    of reports replicated to this node by a fleet coordinator
-    ({!Wire.Put_report}); the oldest entries are evicted FIFO. *)
+    [Admission.create ()].  The store of reports replicated to this node
+    by a fleet coordinator ({!Wire.Put_report}) holds at most 256
+    entries; the oldest are evicted FIFO. *)
 
 val admission : t -> Admission.t
 

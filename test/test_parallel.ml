@@ -1,13 +1,12 @@
 (* Differential tests for the multicore symbolic kernel: the parallel
-   elimination and the parallel NLP multistart must be byte-identical to
-   their sequential reference paths (on the WSN grids n=2..4, the
-   lane-change chain and seeded generated chains, where elimination is
-   also checked against a per-edge reference solver, and on whole Model,
-   Data and Reward Repairs whose
-   concurrent starts share one compiled constraint or Bellman kernel),
-   an injected worker crash mid-batch must be retried — not wedge the
-   batch — and nested subtask submission must complete on a 1-worker
-   pool. *)
+   elimination must be byte-identical to its sequential schedule (on the
+   WSN grids n=2..4, the lane-change chain, a tie-guard regression chain
+   and seeded generated chains, where elimination is also checked against
+   a per-edge reference solver), solves and whole Model, Data and Reward
+   Repairs must give the same outcome with a pool runner installed as
+   without one, an injected worker crash mid-batch must be retried — not
+   wedge the batch — and nested subtask submission must complete on a
+   1-worker pool. *)
 
 (* ------------------------------ harness ------------------------------- *)
 
@@ -118,6 +117,28 @@ let test_elim_lane_change () =
   let pm = car_pm () in
   check_elim_identical "lane-change reach" (fun order ->
       Elimination.reachability_probability ~order pm ~target:[ 3; 4 ])
+
+(* A generated chain (shrunk) on which the batch builder's tie guard
+   matters: after the first Min_degree pick, a touched survivor's degree
+   lower bound equals the frozen argmin's degree, and the sequential
+   schedule takes the touched state on the tie-break.  Weakening the guard
+   from [<=] to [<] lets the batch take the frozen argmin instead, which
+   changes the elimination order and the normalize-saved tally. *)
+let test_elim_tie_guard () =
+  let p = Ratfun.var "p" in
+  let q = Ratfun.sub Ratfun.one p in
+  let chain =
+    Pdtmc.make ~n:10 ~init:0
+      ~transitions:
+        [ (0, 0, p); (0, 1, q); (1, 5, p); (1, 6, q);
+          (2, 2, Ratfun.one); (3, 3, Ratfun.one); (4, 4, Ratfun.one);
+          (5, 6, p); (5, 7, q); (6, 4, p); (6, 5, q); (7, 0, q); (7, 9, p);
+          (8, 8, Ratfun.one); (9, 1, p); (9, 2, q);
+        ]
+      ()
+  in
+  check_elim_identical "tie-guard chain reach" (fun order ->
+      Elimination.reachability_probability ~order chain ~target:[ 5 ])
 
 (* ---------------------- generated-chain differential ------------------- *)
 
@@ -257,12 +278,14 @@ let test_fallback_identical () =
          reference pooled)
     [ ("feasible", feasible_problem ()); ("infeasible", infeasible_problem ()) ]
 
-(* Arena-backed problems: every start and every speculative rung of one
-   solve evaluates the same compiled constraint.  A scratch buffer shared
-   between domains shows up as a different outcome (a penalty-rung
-   answer, an unverified repair, a spurious Infeasible), so each check
-   repeats the pooled solve [repeats] times to give the interleaving a
-   chance to bite: cheap solves get more repeats. *)
+(* Arena-backed problems: with a runner installed the repair's
+   elimination runs batched on pool domains, then every start and rung
+   evaluates the compiled constraint on the calling domain.  A race in the
+   shared kernel state (cons cache, symbol table, arena scratch) shows up
+   as a different outcome (a penalty-rung answer, an unverified repair, a
+   spurious Infeasible), so each check repeats the pooled solve [repeats]
+   times to give the interleaving a chance to bite: cheap solves get more
+   repeats. *)
 let check_pooled_identical ~repeats name solve =
   let reference = solve () in
   with_pool ~workers:2 (fun _ ->
@@ -358,11 +381,15 @@ let test_nested_submit_one_worker () =
   with_pool ~workers:1 (fun pool ->
       let fut =
         Pool.submit pool (fun () ->
-            Parallel.map_array
-              (fun i ->
-                 Array.fold_left ( + ) 0
-                   (Parallel.map_array (fun j -> (10 * i) + j) [| 0; 1; 2 |]))
-              [| 1; 2; 3; 4 |])
+            let outer = Array.make 4 0 in
+            Parallel.run
+              (Array.init 4 (fun i () ->
+                   let inner = Array.make 3 0 in
+                   Parallel.run
+                     (Array.init 3 (fun j () ->
+                          inner.(j) <- (10 * (i + 1)) + j));
+                   outer.(i) <- Array.fold_left ( + ) 0 inner));
+            outer)
       in
       match Future.await ~timeout_s:30.0 fut with
       | Future.Value v ->
@@ -393,6 +420,7 @@ let () =
             test_elim_wsn_reward;
           Alcotest.test_case "lane-change reachability" `Quick
             test_elim_lane_change;
+          Alcotest.test_case "tie-guard chain" `Quick test_elim_tie_guard;
           test_elim_generated;
         ] );
       ( "nlp differential",

@@ -265,12 +265,15 @@ let test_batch_matches_sequential () =
 let test_report_cache_hits_on_repeat () =
   let jobs = repair_jobs bounds in
   Runtime.with_runtime ~workers:2 (fun rt ->
+      let hits () = (Runtime.stats rt).Runtime_stats.report_cache_hits in
       let first = List.map (fun o -> render (value o)) (Runtime.run_batch rt jobs) in
+      (* [bounds] lists 0.5 twice, so the first batch may already hit when
+         job 0 settles before job 3 is submitted: count only the growth *)
+      let before = hits () in
       let second = List.map (fun o -> render (value o)) (Runtime.run_batch rt jobs) in
       Alcotest.(check (list string)) "identical reports on repeat" first second;
-      let stats = Runtime.stats rt in
       Alcotest.(check int) "every repeat is a report-cache hit"
-        (List.length jobs) stats.Runtime_stats.report_cache_hits;
+        (List.length jobs) (hits () - before);
       (match Runtime.elim_cache_counters rt with
        | Some c ->
          Alcotest.(check bool) "elimination coalesced across bounds" true
@@ -279,7 +282,7 @@ let test_report_cache_hits_on_repeat () =
          Alcotest.(check int) "single elimination" 1 c.Lru_cache.misses
        | None -> Alcotest.fail "elimination cache should be on");
       Alcotest.(check int) "all jobs accounted"
-        (2 * List.length jobs) stats.Runtime_stats.completed)
+        (2 * List.length jobs) (Runtime.stats rt).Runtime_stats.completed)
 
 let test_runtime_stage_timings () =
   Runtime.with_runtime ~workers:1 (fun rt ->
