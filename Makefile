@@ -1,4 +1,4 @@
-.PHONY: all test lint-knobs lint-unreached region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke doc docs-check clean
+.PHONY: all test lint-knobs lint-unreached region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke ab doc docs-check clean
 
 all:
 	dune build @all
@@ -93,6 +93,16 @@ bench-baseline:
 # oracle; fails if any run has a failed or wrong reply.
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
+
+# A/B of a revision (default: the parent commit) against HEAD on one
+# perfbench workload: alternating 20 s pairs, then per end-to-end metric
+# the median change/parent ratio, its min-max and the wins.  Builds both
+# sides from committed files; noisy on shared hosts, so not a CI step.
+REV ?= HEAD~1
+WORKLOAD ?= repair_mix
+PAIRS ?= 3
+ab:
+	scripts/ab.sh $(REV) $(WORKLOAD) $(PAIRS)
 
 # API docs (requires odoc: `opam install odoc`).
 doc:

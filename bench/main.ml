@@ -32,12 +32,13 @@ open Toolkit
 
 let wsn_params = Wsn.default_params
 let wsn_chain = lazy (Wsn.chain wsn_params)
+let wsn_base = lazy (Pdtmc.of_dtmc (Lazy.force wsn_chain))
 let car_mdp = lazy (Car.mdp ())
 let car_theta = lazy (Irl.learn (Lazy.force car_mdp) (Car.expert_traces 5))
 
 let wsn_parametric =
   lazy
-    (Model_repair.parametric_model (Lazy.force wsn_chain)
+    (Model_repair.parametric_model (Lazy.force wsn_base)
        (Wsn.repair_spec wsn_params))
 
 let data_groups =
@@ -71,14 +72,14 @@ let bench_e2_elimination =
 let bench_e2_repair =
   Test.make ~name:"e2/full model repair (X=40) backend=nlp"
     (Staged.stage (fun () ->
-         Model_repair.repair ~starts:4 (Lazy.force wsn_chain) (Wsn.property 40)
-           (Wsn.repair_spec wsn_params)))
+         Model_repair.repair ~starts:4 ~base:(Lazy.force wsn_base)
+           (Lazy.force wsn_chain) (Wsn.property 40) (Wsn.repair_spec wsn_params)))
 
 let bench_e3_repair =
   Test.make ~name:"e3/full repair, infeasible (X=19) backend=nlp"
     (Staged.stage (fun () ->
-         Model_repair.repair ~starts:4 (Lazy.force wsn_chain) (Wsn.property 19)
-           (Wsn.repair_spec wsn_params)))
+         Model_repair.repair ~starts:4 ~base:(Lazy.force wsn_base)
+           (Lazy.force wsn_chain) (Wsn.property 19) (Wsn.repair_spec wsn_params)))
 
 let bench_e4_parametric_mle =
   Test.make ~name:"e4/parametric MLE (3000 observations)"
@@ -141,8 +142,8 @@ let experiment_benches =
 (* Ablations (DESIGN.md §5). *)
 
 let e2_nlp_with method_ =
-  Model_repair.repair ~solver:method_ ~starts:4 (Lazy.force wsn_chain)
-    (Wsn.property 40) (Wsn.repair_spec wsn_params)
+  Model_repair.repair ~solver:method_ ~starts:4 ~base:(Lazy.force wsn_base)
+    (Lazy.force wsn_chain) (Wsn.property 40) (Wsn.repair_spec wsn_params)
 
 let ablation_benches =
   [ Test.make ~name:"ablation/optimizer=penalty backend=nlp"
@@ -172,7 +173,7 @@ let scale_benches =
        let params = { wsn_params with Wsn.n } in
        let pm =
          lazy
-           (Model_repair.parametric_model (Wsn.chain params)
+           (Model_repair.parametric_model (Pdtmc.of_dtmc (Wsn.chain params))
               (Wsn.repair_spec params))
        in
        Test.make ~name:(Printf.sprintf "scale/wsn-grid n=%d" n)
@@ -185,7 +186,8 @@ let scale_benches =
 let one_shot_n4 () =
   let params = { wsn_params with Wsn.n = 4 } in
   let pm =
-    Model_repair.parametric_model (Wsn.chain params) (Wsn.repair_spec params)
+    Model_repair.parametric_model (Pdtmc.of_dtmc (Wsn.chain params))
+      (Wsn.repair_spec params)
   in
   let t0 = Unix.gettimeofday () in
   let f = Elimination.expected_reward pm ~target:[ 0 ] in
@@ -301,7 +303,7 @@ let region_n2 =
      let chain = Wsn.chain params in
      let spec = Wsn.repair_spec params in
      let vars = List.map (fun (v, _, _) -> v) spec.Model_repair.variables in
-     let pm = Model_repair.parametric_model chain spec in
+     let pm = Model_repair.parametric_model (Pdtmc.of_dtmc chain) spec in
      let query = Pquery.of_formula pm (Wsn.property 16) in
      let c = Region_verify.of_query ~vars query in
      let box = Box.make spec.Model_repair.variables in
@@ -319,8 +321,8 @@ let region_benches =
     Test.make ~name:"region/model repair wsn n=2 (X=19) backend=region"
       (Staged.stage (fun () ->
            let chain, spec, _, _ = Lazy.force region_n2 in
-           Model_repair.repair ~backend:Repair_backend.Region chain
-             (Wsn.property 19) spec));
+           Model_repair.repair ~backend:Repair_backend.Region
+             ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 19) spec));
   ]
 
 (* Symbolic-kernel section: the exact-arithmetic layers behind state
@@ -523,7 +525,8 @@ let region_lifting_report () =
          let params = { wsn_params with Wsn.n } in
          let spec = Wsn.repair_spec params in
          let vars = List.map (fun (v, _, _) -> v) spec.Model_repair.variables in
-         let pm = Model_repair.parametric_model (Wsn.chain params) spec in
+         let pm = Model_repair.parametric_model
+           (Pdtmc.of_dtmc (Wsn.chain params)) spec in
          let query = Pquery.of_formula pm (Wsn.property bound) in
          let c = Region_verify.of_query ~vars query in
          let a = Region_verify.analyze [ c ] (Box.make spec.Model_repair.variables) in
@@ -535,9 +538,11 @@ let region_lifting_report () =
     timed (Printf.sprintf "wsn n=%d model repair (X=%d)" n bound) "region"
       (fun () ->
          let params = { wsn_params with Wsn.n } in
+         let chain = Wsn.chain params in
          match
            Model_repair.repair ~backend:Repair_backend.Region
-             (Wsn.chain params) (Wsn.property bound) (Wsn.repair_spec params)
+             ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property bound)
+             (Wsn.repair_spec params)
          with
          | Model_repair.Repaired { certificate = Some c; _ } ->
            (c.Region_repair.regions_explored, c.Region_repair.decided_fraction,
@@ -589,7 +594,8 @@ let kernel_primitives () =
   let p15 = Poly.pow Poly.(var "x" - (var "y" * var "z") + one) 4 in
   let n2_pm =
     let params = { wsn_params with Wsn.n = 2 } in
-    Model_repair.parametric_model (Wsn.chain params) (Wsn.repair_spec params)
+    Model_repair.parametric_model (Pdtmc.of_dtmc (Wsn.chain params))
+      (Wsn.repair_spec params)
   in
   let e4_violation, e4_x =
     let q = Lazy.force data_query in

@@ -180,7 +180,7 @@ let run_model_repair model prop vars deltas output backend =
                deltas = List.map Spec_io.parse_delta deltas;
              }
            in
-           Model_repair.repair ~backend d phi spec
+           Model_repair.repair ~backend ~base:(Pdtmc.of_dtmc d) d phi spec
          with
          | exception Spec_io.Parse_error msg -> Error msg
          | exception Invalid_argument msg -> Error msg

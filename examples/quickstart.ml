@@ -33,7 +33,7 @@ let () =
       deltas = [ (0, 1, Ratfun.var "v"); (0, 2, Ratfun.neg (Ratfun.var "v")) ];
     }
   in
-  match Model_repair.repair chain phi spec with
+  match Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain phi spec with
   | Model_repair.Repaired r ->
     Format.printf "Model Repair succeeded:@\n";
     List.iter

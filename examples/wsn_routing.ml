@@ -27,7 +27,8 @@ let () =
     (Option.value ~default:Float.nan v.Check_dtmc.value);
 
   section "E2: Model Repair for X = 40";
-  (match Model_repair.repair chain (Wsn.property 40) (Wsn.repair_spec p) with
+  let base = Pdtmc.of_dtmc chain in
+  (match Model_repair.repair ~base chain (Wsn.property 40) (Wsn.repair_spec p) with
    | Model_repair.Repaired r ->
      Format.printf "feasible: lower the ignore probabilities by@\n";
      List.iter
@@ -41,7 +42,7 @@ let () =
    | Model_repair.Infeasible _ -> Format.printf "unexpectedly infeasible@\n");
 
   section "E3: Model Repair for X = 19";
-  (match Model_repair.repair chain (Wsn.property 19) (Wsn.repair_spec p) with
+  (match Model_repair.repair ~base chain (Wsn.property 19) (Wsn.repair_spec p) with
    | Model_repair.Infeasible { min_violation } ->
      Format.printf
        "infeasible, as in the paper: even maximal corrections leave the@\n\

@@ -20,7 +20,11 @@ let e1 () =
 
 let e2 () =
   let p = Wsn.default_params in
-  match Model_repair.repair (Wsn.chain p) (Wsn.property 40) (Wsn.repair_spec p) with
+  let chain = Wsn.chain p in
+  match
+    Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 40)
+      (Wsn.repair_spec p)
+  with
   | Model_repair.Repaired r ->
     let pv = List.assoc "p" r.Model_repair.assignment in
     let qv = List.assoc "q" r.Model_repair.assignment in
@@ -44,7 +48,11 @@ let e2 () =
 
 let e3 () =
   let p = Wsn.default_params in
-  match Model_repair.repair (Wsn.chain p) (Wsn.property 19) (Wsn.repair_spec p) with
+  let chain = Wsn.chain p in
+  match
+    Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 19)
+      (Wsn.repair_spec p)
+  with
   | Model_repair.Infeasible { min_violation } ->
     {
       id = "E3";

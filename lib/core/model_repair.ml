@@ -20,7 +20,7 @@ type result =
   | Repaired of repaired
   | Infeasible of { min_violation : float }
 
-let validate_spec dtmc spec =
+let validate_spec base spec =
   let names = List.map (fun (n, _, _) -> n) spec.variables in
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Model_repair: duplicate variable names";
@@ -29,9 +29,13 @@ let validate_spec dtmc spec =
        if lo > hi then
          invalid_arg (Printf.sprintf "Model_repair: empty bounds for %s" n))
     spec.variables;
+  let n = Pdtmc.num_states base in
+  let has_edge s d =
+    s >= 0 && s < n && List.mem_assoc d (Pdtmc.succ base s)
+  in
   List.iter
     (fun (s, d, _) ->
-       if Dtmc.prob dtmc s d <= 0.0 then
+       if not (has_edge s d) then
          invalid_arg
            (Printf.sprintf
               "Model_repair: delta on non-existent edge %d->%d (structure \
@@ -50,14 +54,13 @@ let validate_spec dtmc spec =
          (Ratfun.vars f))
     spec.deltas
 
-let parametric_model dtmc spec =
-  validate_spec dtmc spec;
+let parametric_model base spec =
+  validate_spec base spec;
   let delta s d =
     List.fold_left
       (fun acc (s', d', f) -> if s = s' && d = d' then Ratfun.add acc f else acc)
       Ratfun.zero spec.deltas
   in
-  let base = Pdtmc.of_dtmc dtmc in
   (* Pdtmc.make re-validates symbolic row sums, enforcing that each row's
      deltas cancel. *)
   Pdtmc.map_transitions base (fun s d p -> Ratfun.add p (delta s d))
@@ -72,7 +75,7 @@ let method_name = function
 
 let repair ?(backend = Repair_backend.Nlp_solver) ?(solver = Nlp.Penalty)
     ?(starts = 12) ?(seed = 0) ?cost ?(force = false) ?(fallback = false)
-    ?(gap = 0.05) dtmc phi spec =
+    ?(gap = 0.05) ~base dtmc phi spec =
   (* Step 1: verify the original model (§II pipeline).  Under the
      smc-prefilter backend a seeded SPRT runs first: a statistical reject
      skips the exact check entirely (the repair would find cost 0 if the
@@ -99,7 +102,7 @@ let repair ?(backend = Repair_backend.Nlp_solver) ?(solver = Nlp.Penalty)
     Already_satisfied v.Check_dtmc.value
   | _ -> begin
     (* Step 2: parametric model + symbolic constraint f(v) ~ b. *)
-    let pmodel = parametric_model dtmc spec in
+    let pmodel = parametric_model base spec in
     let query =
       Instr.time Instr.Eliminate (fun () -> Pquery.of_formula pmodel phi)
     in
@@ -193,7 +196,8 @@ let repair ?(backend = Repair_backend.Nlp_solver) ?(solver = Nlp.Penalty)
     | Repair_backend.Nlp_solver | Repair_backend.Smc_prefilter -> begin
       (* Step 3: the NLP (Eqs. 4–6).  All constraints are arena-compiled
          against the spec's variable order, so the optimizer's inner loop
-         evaluates flat float programs indexed by position. *)
+         evaluates flat float programs indexed by position; the property
+         reuses the query's own arena when that order is the spec's. *)
       let lower =
         Array.of_list (List.map (fun (_, lo, _) -> lo) spec.variables)
       in

@@ -64,16 +64,24 @@ val repair :
   ?force:bool ->
   ?fallback:bool ->
   ?gap:float ->
+  base:Pdtmc.t ->
   Dtmc.t ->
   Pctl.state_formula ->
   spec ->
   result
-(** [repair m φ spec]. With [force] the repair runs even when [m ⊨ φ]
-    already. The default [cost] is the squared L2 norm of the perturbation
-    vector (the Frobenius-norm cost of Eq. 1).  With [fallback] the NLP is
-    solved by {!Nlp.solve_with_fallback} — escalating augmented Lagrangian
-    → penalty → a wider multistart before conceding infeasibility; the
-    successful rung is recorded in [solver_rung].
+(** [repair ~base m φ spec].  [m] is the float chain that is checked
+    (before and after repair) and that [epsilon_bisimilarity] compares
+    against; [base] is the same chain exact, the one the spec's deltas
+    perturb and elimination runs on.  The caller chooses it: a model
+    given as float text passes [Pdtmc.of_dtmc m]; a learned model passes
+    the exact count-ratio chain of {!Mle.learn}, of which [m] is the
+    {!Pdtmc.to_dtmc} instantiation.  With [force] the repair runs even
+    when [m ⊨ φ] already. The default [cost] is the squared L2 norm of the
+    perturbation vector (the Frobenius-norm cost of Eq. 1).  With
+    [fallback] the NLP is solved by {!Nlp.solve_with_fallback} —
+    escalating augmented Lagrangian → penalty → a wider multistart before
+    conceding infeasibility; the successful rung is recorded in
+    [solver_rung].
 
     [backend] selects the solving substrate (default {!Repair_backend.t}
     [Nlp_solver]).  Under [Region] the same constraint system is solved by
@@ -90,5 +98,7 @@ val repair :
     @raise Pquery.Unsupported on properties outside the parametric
     fragment. *)
 
-val parametric_model : Dtmc.t -> spec -> Pdtmc.t
-(** The parametric chain [M_Z] — exposed for inspection and benches. *)
+val parametric_model : Pdtmc.t -> spec -> Pdtmc.t
+(** [parametric_model base spec] is the parametric chain [M_Z]: [base]
+    with the spec's deltas added — exposed for inspection and benches.
+    @raise Invalid_argument as {!repair} on malformed specs. *)

@@ -17,10 +17,12 @@ let run ~n ~init ?(labels = []) ?rewards ?model_spec ?data_spec ~groups phi =
   let all_data =
     List.fold_left (fun acc (_, t) -> Tally.add acc t) Tally.empty groups
   in
-  let rewards_float = Option.map (Array.map Ratio.to_float) rewards in
-  let model =
+  (* the exact count-ratio chain feeds Model Repair; checks use its
+     float instantiation *)
+  let exact, model =
     Instr.time Instr.Learn (fun () ->
-        Mle.learn_dtmc ~n ~init ~labels ?rewards:rewards_float all_data)
+        let exact = Mle.learn ~n ~init ~labels ?rewards all_data in
+        (exact, Pdtmc.to_dtmc exact))
   in
   let original =
     Instr.time Instr.Check (fun () -> Check_dtmc.check_verbose model phi)
@@ -34,7 +36,9 @@ let run ~n ~init ?(labels = []) ?rewards ?model_spec ?data_spec ~groups phi =
   else begin
     (* Stage 2: Model Repair. *)
     let model_result =
-      Option.map (fun spec -> Model_repair.repair model phi spec) model_spec
+      Option.map
+        (fun spec -> Model_repair.repair ~base:exact model phi spec)
+        model_spec
     in
     match model_result with
     | Some (Model_repair.Repaired r) ->

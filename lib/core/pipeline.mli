@@ -29,9 +29,11 @@ val run :
   groups:(string * Tally.t) list ->
   Pctl.state_formula ->
   report
-(** Learns the model (MLE) from the sum of the groups' tallies, then walks
-    the pipeline.  [model_spec] / [data_spec] enable the corresponding
-    repair stages (a stage without a spec is skipped). [data_spec]
-    defaults to dropping from the given trace groups. *)
+(** Learns the model ({!Mle.learn}) from the sum of the groups' tallies,
+    then walks the pipeline: the float instantiation is checked, and Model
+    Repair perturbs the exact count-ratio chain.  [model_spec] /
+    [data_spec] enable the corresponding repair stages (a stage without a
+    spec is skipped). [data_spec] defaults to dropping from the given
+    trace groups. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,7 +1,7 @@
 (** Deterministic fault injection for chaos-testing the repair runtime.
 
     A {e plan} names pipeline sites and the faults to fire there.  Plans
-    are installed process-wide (like {!Elimination.set_memo}); with no
+    are installed process-wide (like {!Pquery.set_memo}); with no
     plan installed every probe is a single atomic load.  Firing decisions
     are deterministic: a seeded SplitMix64 hash of [(seed, site,
     occurrence)] drives the optional firing [rate], so the same plan

@@ -18,42 +18,48 @@ let transition_counts ~n traces =
   List.iter (fun tr -> List.iter (check_state n) (Trace.states tr)) traces;
   counts ~n (Tally.of_traces traces)
 
-let observed_support counts =
-  let n = Array.length counts in
-  let edges = ref [] in
-  for s = 0 to n - 1 do
-    for d = 0 to n - 1 do
-      if counts.(s).(d) > 0.0 then edges := (s, d) :: !edges
-    done
-  done;
-  !edges
-
-let learn_dtmc ~n ~init ?(labels = []) ?rewards ?(smoothing = 0.0) ?support
-    tally =
-  let counts = counts ~n tally in
+let learn ~n ~init ?(labels = []) ?rewards ?(smoothing = 0.0) ?support
+    (tally : Tally.t) =
+  let counts = Array.make_matrix n n Ratio.zero in
+  List.iter
+    (fun (s, d, k) ->
+       check_state n s;
+       check_state n d;
+       counts.(s).(d) <- Ratio.of_int k)
+    tally.Tally.transitions;
   let support =
-    match support with Some s -> s | None -> observed_support counts
+    match support with
+    | Some s -> s
+    | None -> List.map (fun (s, d, _) -> (s, d)) tally.Tally.transitions
   in
-  if smoothing < 0.0 then invalid_arg "Mle.learn_dtmc: negative smoothing";
+  if smoothing < 0.0 then invalid_arg "Mle.learn: negative smoothing";
+  let alpha = Ratio.of_float smoothing in
   List.iter
     (fun (s, d) ->
        check_state n s;
        check_state n d;
-       counts.(s).(d) <- counts.(s).(d) +. smoothing)
+       counts.(s).(d) <- Ratio.add counts.(s).(d) alpha)
     support;
   let transitions = ref [] in
   for s = 0 to n - 1 do
-    let total = Array.fold_left ( +. ) 0.0 counts.(s) in
-    if total > 0.0 then
-      for d = 0 to n - 1 do
-        if counts.(s).(d) > 0.0 then
-          transitions := (s, d, counts.(s).(d) /. total) :: !transitions
-      done
+    let total = Array.fold_left Ratio.add Ratio.zero counts.(s) in
+    if Ratio.sign total > 0 then
+      Array.iteri
+        (fun d c ->
+           if Ratio.sign c > 0 then
+             transitions :=
+               (s, d, Ratfun.const (Ratio.div c total)) :: !transitions)
+        counts.(s)
     else
       (* unobserved source: absorbing self-loop keeps the chain well formed *)
-      transitions := (s, s, 1.0) :: !transitions
+      transitions := (s, s, Ratfun.one) :: !transitions
   done;
-  Dtmc.make ~n ~init ~transitions:!transitions ~labels ?rewards ()
+  let rewards = Option.map (Array.map Ratfun.const) rewards in
+  Pdtmc.make ~n ~init ~transitions:!transitions ~labels ?rewards ()
+
+let learn_dtmc ~n ~init ?labels ?rewards ?smoothing ?support tally =
+  let rewards = Option.map (Array.map Ratio.of_float) rewards in
+  Pdtmc.to_dtmc (learn ~n ~init ?labels ?rewards ?smoothing ?support tally)
 
 let learn_mdp_dists mdp ?(smoothing = 0.0) traces =
   let n = Mdp.num_states mdp in

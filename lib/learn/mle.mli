@@ -23,6 +23,27 @@ val transition_counts : n:int -> Trace.t list -> float array array
     @raise Invalid_argument when any trace state, a lone one included,
     lies outside [0 .. n-1]. *)
 
+val learn :
+  n:int ->
+  init:int ->
+  ?labels:(string * int list) list ->
+  ?rewards:Ratio.t array ->
+  ?smoothing:float ->
+  ?support:(int * int) list ->
+  Tally.t ->
+  Pdtmc.t
+(** The learner: the exact, parameter-free chain of count ratios.  Edge
+    [s -> d] gets [k / t], [k] its count and [t] the row total, as an
+    exact rational, so Model Repair eliminates the estimate the data
+    gives rather than a rounded copy of it.  [smoothing] adds Laplace
+    mass α (lifted exactly) to every edge of the [support] (default: the
+    edges observed anywhere in the data).  States never visited as
+    sources become absorbing self-loops.
+    @raise Invalid_argument on negative smoothing, or when a transition
+    of the tally or an edge of [support] names a state outside
+    [0 .. n-1]; a tally keeps no record of lone-state traces, so their
+    states go unchecked. *)
+
 val learn_dtmc :
   n:int ->
   init:int ->
@@ -32,13 +53,11 @@ val learn_dtmc :
   ?support:(int * int) list ->
   Tally.t ->
   Dtmc.t
-(** Row-normalised {!counts}. [smoothing] adds Laplace mass α to every edge of
-    the [support] (default: the edges observed anywhere in the data).
-    States never visited as sources become absorbing self-loops.
-    @raise Invalid_argument on negative smoothing, or when a transition
-    of the tally or an edge of [support] names a state outside
-    [0 .. n-1]; a tally keeps no record of lone-state traces, so their
-    states go unchecked. *)
+(** The float chain checks use: {!Pdtmc.to_dtmc} of {!learn} (rewards
+    lifted exactly).  Each probability is [float k /. float t] bit for
+    bit, the row-normalised {!counts}, whenever α is a small dyadic such
+    as 0, 0.5 or 1 (counts plus α stay exact in floats).
+    @raise Invalid_argument as {!learn}. *)
 
 val learn_mdp_dists :
   Mdp.t -> ?smoothing:float -> Trace.t list -> Mdp.t

@@ -2,7 +2,7 @@
 
     State elimination fans independent units of work out through {!run};
     the runtime layer installs a runner backed by its domain pool (like
-    {!Elimination.set_memo} and {!Fault.set_observer}), and with no
+    {!Pquery.set_memo} and {!Fault.set_observer}), and with no
     runner installed every call degrades to running the tasks
     sequentially, in index order, on the calling domain.
 

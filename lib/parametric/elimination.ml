@@ -138,40 +138,13 @@ let fr_add a b =
 exception Not_almost_sure of int
 
 (* ------------------------------------------------------------------ *)
-(* Memo hook: an installable cache for whole-query elimination results.  *)
-(* The runtime layer installs a bounded, thread-safe cache here so that   *)
-(* repeated queries on structurally identical chains skip elimination     *)
-(* entirely.  The hook receives a structural key and a thunk computing    *)
-(* the result; with no hook installed the thunk runs directly.            *)
-(* ------------------------------------------------------------------ *)
-
-type memo = key:string -> compute:(unit -> Ratfun.t) -> Ratfun.t
-
-let memo_hook : memo option Atomic.t = Atomic.make None
-let set_memo m = Atomic.set memo_hook m
-
-let order_tag = function
-  | Min_degree -> "m"
-  | Ascending -> "a"
-  | Descending -> "d"
-
-let memoized ~kind ~order pdtmc ~target compute =
-  match Atomic.get memo_hook with
-  | None -> compute ()
-  | Some memo ->
-    let key =
-      Printf.sprintf "%s:%s:%s:%s" kind (order_tag order)
-        (String.concat "," (List.map string_of_int (List.sort compare target)))
-        (Pdtmc.digest pdtmc)
-    in
-    memo ~key ~compute
-
-(* ------------------------------------------------------------------ *)
 (* Structural graph analyses (an edge exists iff its ratfun is not the  *)
 (* zero function)                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let forward_reachable rows init =
+(* States reachable from [init] before the first target hit: the search
+   does not expand target states, since both queries stop there. *)
+let forward_reachable rows init tset =
   let n = Array.length rows in
   let mark = Array.make n false in
   let queue = Queue.create () in
@@ -179,13 +152,14 @@ let forward_reachable rows init =
   Queue.add init queue;
   while not (Queue.is_empty queue) do
     let s = Queue.pop queue in
-    Imap.iter
-      (fun d _ ->
-         if not mark.(d) then begin
-           mark.(d) <- true;
-           Queue.add d queue
-         end)
-      rows.(s)
+    if not (Iset.mem s tset) then
+      Imap.iter
+        (fun d _ ->
+           if not mark.(d) then begin
+             mark.(d) <- true;
+             Queue.add d queue
+           end)
+        rows.(s)
   done;
   mark
 
@@ -478,13 +452,12 @@ let check_target n target =
 let reachability_probability ?(order = Min_degree) pdtmc ~target =
   let n = Pdtmc.num_states pdtmc in
   check_target n target;
-  memoized ~kind:"prob" ~order pdtmc ~target @@ fun () ->
   let init = Pdtmc.init_state pdtmc in
   let tset = Iset.of_list target in
   if Iset.mem init tset then Ratfun.one
   else begin
     let rows = rows_of pdtmc in
-    let reach = forward_reachable rows init in
+    let reach = forward_reachable rows init tset in
     let can_reach_target = backward_reachable rows tset in
     if not can_reach_target.(init) then Ratfun.zero
     else begin
@@ -510,18 +483,17 @@ let reachability_probability ?(order = Min_degree) pdtmc ~target =
 let expected_reward ?(order = Min_degree) pdtmc ~target =
   let n = Pdtmc.num_states pdtmc in
   check_target n target;
-  memoized ~kind:"rew" ~order pdtmc ~target @@ fun () ->
   let init = Pdtmc.init_state pdtmc in
   let tset = Iset.of_list target in
   if Iset.mem init tset then Ratfun.zero
   else begin
     let rows = rows_of pdtmc in
-    let reach = forward_reachable rows init in
+    let reach = forward_reachable rows init tset in
     let can_reach_target = backward_reachable rows tset in
-    (* Structural almost-sure check: from every reachable state the target
-       must remain reachable (for generic parameter values this implies
-       probability-1 reachability on finite chains iff no reachable trap
-       avoids the target). *)
+    (* Structural almost-sure check: from every state reachable before the
+       first target hit the target must remain reachable (for generic
+       parameter values this implies probability-1 reachability on finite
+       chains iff no such state lies in a trap that avoids the target). *)
     Array.iteri
       (fun s r -> if r && not can_reach_target.(s) then raise (Not_almost_sure s))
       reach;

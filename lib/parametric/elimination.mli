@@ -16,22 +16,11 @@ type order =
   | Descending
 
 exception Not_almost_sure of int
-(** Raised by {!expected_reward} when the given state (reachable from the
-    initial state) does not reach the target with probability 1 for generic
-    parameter values — the expected reward is infinite there. *)
-
-type memo = key:string -> compute:(unit -> Ratfun.t) -> Ratfun.t
-(** An installable whole-query cache.  [key] is a structural digest of
-    (query kind, elimination order, target set, chain); [compute] performs
-    the elimination.  The hook decides whether to serve a cached value or
-    run (and record) the computation — the runtime layer installs an LRU
-    cache with request coalescing here. *)
-
-val set_memo : memo option -> unit
-(** Install (or, with [None], remove) the process-wide elimination memo.
-    The hook may be called concurrently from several domains; installers
-    must provide their own synchronisation.  With no hook installed both
-    queries always run the elimination directly. *)
+(** Raised by {!expected_reward} when the given state, reachable from the
+    initial state without passing through a target, does not reach the
+    target with probability 1 for generic parameter values — the expected
+    reward is infinite there.  States reachable only through a target
+    never matter: both queries stop at the first hit. *)
 
 val reachability_probability :
   ?order:order -> Pdtmc.t -> target:int list -> Ratfun.t

@@ -65,7 +65,7 @@ let make ~n ~init ~transitions ?(labels = []) ?rewards () =
   in
   { n; init; rows; preds = compute_preds n rows; label_map; rewards }
 
-let of_dtmc ?rewards_exact dtmc =
+let of_dtmc dtmc =
   let n = Dtmc.num_states dtmc in
   let transitions =
     List.concat
@@ -85,13 +85,7 @@ let of_dtmc ?rewards_exact dtmc =
     List.map (fun l -> (l, Dtmc.states_with_label dtmc l)) (Dtmc.labels dtmc)
   in
   let rewards =
-    match rewards_exact with
-    | Some r ->
-      if Array.length r <> n then
-        invalid_arg "Pdtmc.of_dtmc: reward array wrong length";
-      Array.map (fun q -> Ratfun.const q) r
-    | None ->
-      Array.init n (fun s -> Ratfun.const (Ratio.of_float (Dtmc.reward dtmc s)))
+    Array.init n (fun s -> Ratfun.const (Ratio.of_float (Dtmc.reward dtmc s)))
   in
   make ~n ~init:(Dtmc.init_state dtmc) ~transitions ~labels ~rewards ()
 
@@ -158,6 +152,10 @@ let instantiate t env =
     Array.map (fun f -> Ratio.to_float (Ratfun.eval env f)) t.rewards
   in
   Dtmc.make ~n:t.n ~init:t.init ~transitions ~labels ~rewards ()
+
+let to_dtmc t =
+  instantiate t (fun v ->
+      invalid_arg (Printf.sprintf "Pdtmc.to_dtmc: chain has parameter %s" v))
 
 let pp fmt t =
   Format.fprintf fmt "PDTMC(%d states, init %d, params %s)@\n" t.n t.init

@@ -25,8 +25,12 @@ val make :
     @raise Invalid_argument on bad indices, duplicate edges or rows not
     summing to the constant 1. *)
 
-val of_dtmc : ?rewards_exact:Ratio.t array -> Dtmc.t -> t
-(** Exact lift of a concrete chain (floats become exact dyadic rationals). *)
+val of_dtmc : Dtmc.t -> t
+(** Exact lift of a concrete chain (floats become exact dyadic rationals).
+    Use it for chains given as float text; a chain learned from counts has
+    its exact form already ([Mle.learn]), and lifting its rounded floats
+    instead yields 2{^-53}-denominator constants that make elimination
+    many times slower. *)
 
 val num_states : t -> int
 val init_state : t -> int
@@ -53,6 +57,13 @@ val instantiate : t -> (string -> Ratio.t) -> Dtmc.t
     @raise Invalid_argument when an instantiated probability falls outside
     [0, 1] or a row stops summing to 1 (cannot happen if the valuation is
     inside the feasible region). *)
+
+val to_dtmc : t -> Dtmc.t
+(** The float chain of a parameter-free [t]: {!instantiate} with no
+    valuation.  Each probability is its exact rational rounded once, so
+    a count ratio [k/t] becomes [float k /. float t] bit for bit (counts
+    below 2{^53}).
+    @raise Invalid_argument when [t] has a parameter. *)
 
 val instantiate_exact : t -> (string -> Ratio.t) -> (int * int * Ratio.t) list
 (** The instantiated edge list, exact. *)

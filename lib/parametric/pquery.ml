@@ -107,19 +107,60 @@ let reachability_reward pdtmc f =
     raise (Unsupported "reward query with empty target set is infinite")
   else Elimination.expected_reward pdtmc ~target
 
-let make_query value cmp bound =
-  let arena = Arena.compile ~vars:(Ratfun.vars value) value in
-  { value; cmp; bound; eval = Arena.eval_env arena; arena }
+(* Arena compilations of query values: one per [of_formula] the memo does
+   not answer, plus one per [compile_value]/[compile_violation] whose
+   variable order differs from the query's own. *)
+let compiles =
+  Metrics.counter "tml_arena_compiles_total"
+    ~help:
+      "Arena compilations of symbolic query values (Pquery.of_formula, \
+       compile_value, compile_violation)"
+
+let compile ~vars value =
+  Metrics.incr compiles;
+  Arena.compile ~vars value
+
+(* ------------------------------------------------------------------ *)
+(* Memo hook: an installable cache for compiled query values.  The      *)
+(* runtime layer installs a bounded, thread-safe cache here so that     *)
+(* repeated queries on structurally identical chains skip elimination   *)
+(* and compilation entirely.  The hook receives a structural key and a  *)
+(* thunk computing the result; with no hook installed the thunk runs    *)
+(* directly.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type memo =
+  key:string -> compute:(unit -> Ratfun.t * Arena.t) -> Ratfun.t * Arena.t
+
+let memo_hook : memo option Atomic.t = Atomic.make None
+let set_memo m = Atomic.set memo_hook m
 
 let of_formula pdtmc (f : Pctl.state_formula) =
-  match f with
-  | Prob (cmp, bound, psi) -> make_query (path_probability pdtmc psi) cmp bound
-  | Reward (cmp, bound, g) -> make_query (reachability_reward pdtmc g) cmp bound
-  | _ ->
-    raise
-      (Unsupported
-         "repairable properties must be a single top-level P[...] or R[...] \
-          operator")
+  let cmp, bound, kind, value =
+    match f with
+    | Prob (cmp, bound, psi) ->
+      ( cmp, bound, "P:" ^ Pctl.path_to_string psi,
+        fun () -> path_probability pdtmc psi )
+    | Reward (cmp, bound, g) ->
+      ( cmp, bound, "R:" ^ Pctl.to_string g,
+        fun () -> reachability_reward pdtmc g )
+    | _ ->
+      raise
+        (Unsupported
+           "repairable properties must be a single top-level P[...] or \
+            R[...] operator")
+  in
+  let compute () =
+    let v = value () in
+    (v, compile ~vars:(Ratfun.vars v) v)
+  in
+  let value, arena =
+    match Atomic.get memo_hook with
+    | None -> compute ()
+    | Some memo ->
+      memo ~key:(kind ^ ":" ^ Pdtmc.digest pdtmc) ~compute
+  in
+  { value; cmp; bound; eval = Arena.eval_env arena; arena }
 
 let strict_margin = 1e-9
 
@@ -133,11 +174,16 @@ let violation_of cmp bound margin v =
 let constraint_violation ?(margin = 0.0) q env =
   violation_of q.cmp q.bound margin (q.eval env)
 
+(* The query's own arena when it was compiled in the requested order. *)
+let arena_for q ~vars =
+  if Array.to_list (Arena.vars q.arena) = vars then q.arena
+  else compile ~vars q.value
+
 let compile_value q ~vars =
-  let a = Arena.compile ~vars q.value in
+  let a = arena_for q ~vars in
   fun x -> Arena.eval a x
 
 let compile_violation ?(margin = 0.0) q ~vars =
-  let a = Arena.compile ~vars q.value in
+  let a = arena_for q ~vars in
   let cmp = q.cmp and bound = q.bound in
   fun x -> violation_of cmp bound margin (Arena.eval a x)

@@ -56,7 +56,8 @@ let run = function
     (* batch jobs get the graceful-degradation ladder: augmented
        Lagrangian → penalty → wider multistart before Infeasible *)
     Model_repair_result
-      (Model_repair.repair ~backend ~starts ~fallback:true model phi spec)
+      (Model_repair.repair ~backend ~starts ~fallback:true
+         ~base:(Pdtmc.of_dtmc model) model phi spec)
   | Data_repair { n; init; labels; rewards; phi; spec; starts; backend } ->
     Data_repair_result
       (Data_repair.repair ~n ~init ~labels ?rewards ~backend ~starts phi spec)

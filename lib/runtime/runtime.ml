@@ -3,7 +3,7 @@ type t = {
   worker_count : int;
   stats : Runtime_stats.t;
   report_cache : Job.outcome Lru_cache.t option;
-  elim_cache : Ratfun.t Lru_cache.t option;
+  elim_cache : (Ratfun.t * Arena.t) Lru_cache.t option;
   mutable shut : bool;
 }
 
@@ -37,7 +37,7 @@ let create ?workers ?(queue_capacity = 64) ?(report_cache_capacity = 256)
   Fault.set_observer (Some (fun _site -> Runtime_stats.incr stats `Fault_injected));
   Option.iter
     (fun cache ->
-       Elimination.set_memo
+       Pquery.set_memo
          (Some (fun ~key ~compute -> Lru_cache.find_or_compute cache ~key compute)))
     elim_cache;
   { pool; worker_count; stats; report_cache; elim_cache; shut = false }
@@ -152,7 +152,7 @@ let shutdown ?drain t =
     t.shut <- true;
     Parallel.set_runner None;
     Pool.shutdown ?drain t.pool;
-    Elimination.set_memo None;
+    Pquery.set_memo None;
     Fault.set_observer None
   end
 

@@ -2,9 +2,9 @@
 
     A runtime owns a domain worker {!Pool}, a memoizing report cache keyed
     by {!Job.digest}, an elimination cache installed into
-    {!Elimination.set_memo} (so repeated parametric queries on structurally
-    identical chains skip state elimination entirely, across {e all} repair
-    entry points), and a {!Runtime_stats} collector that reads stage
+    {!Pquery.set_memo} (so repeated parametric queries on structurally
+    identical chains skip state elimination and arena compilation
+    entirely, across {e all} repair entry points), and a {!Runtime_stats} collector that reads stage
     totals from the {!Instr} probes' histograms.
 
     The elimination memo, fault observer and parallel runner are

@@ -114,10 +114,11 @@ let bfs n next from =
   done;
   mark
 
-(* States reachable from the initial state (through target states too). *)
-let reachable pdtmc =
+(* States reachable from the initial state before the first target hit
+   (target states are reached but not expanded). *)
+let reachable pdtmc ~target =
   bfs (Pdtmc.num_states pdtmc)
-    (fun s -> List.map fst (Pdtmc.succ pdtmc s))
+    (fun s -> if List.mem s target then [] else List.map fst (Pdtmc.succ pdtmc s))
     [ Pdtmc.init_state pdtmc ]
 
 (* States with a path into [target]. *)
@@ -130,12 +131,13 @@ let reaches_target pdtmc ~target =
   bfs n (fun s -> preds.(s)) target
 
 (* [Elimination.Not_almost_sure]'s contract: the initial state is a target,
-   or every reachable state has a path into the target. *)
+   or every state reachable before the first target hit has a path into
+   the target. *)
 let almost_sure pdtmc ~target =
   List.mem (Pdtmc.init_state pdtmc) target
   ||
   let can = reaches_target pdtmc ~target in
-  Array.for_all2 (fun r c -> (not r) || c) (reachable pdtmc) can
+  Array.for_all2 (fun r c -> (not r) || c) (reachable pdtmc ~target) can
 
 (* ------------------------------- queries ------------------------------- *)
 
@@ -144,7 +146,7 @@ let reachability_probability pdtmc ~target =
   if List.mem init target then Ratfun.one
   else begin
     let rows = rows_of pdtmc in
-    let reach = reachable pdtmc in
+    let reach = reachable pdtmc ~target in
     let can = reaches_target pdtmc ~target in
     let active =
       Array.init (Array.length rows) (fun s ->
@@ -171,7 +173,7 @@ let expected_reward pdtmc ~target =
   if List.mem init target then Ratfun.zero
   else begin
     let rows = rows_of pdtmc in
-    let reach = reachable pdtmc in
+    let reach = reachable pdtmc ~target in
     let active =
       Array.init (Array.length rows) (fun s ->
           reach.(s) && not (List.mem s target))

@@ -34,7 +34,8 @@ let test_prop1_model_repair () =
       deltas = [ (0, 1, Ratfun.var "v"); (0, 2, Ratfun.neg (Ratfun.var "v")) ];
     }
   in
-  match Model_repair.repair d (Pctl_parser.parse "P>=0.5 [ F goal ]") spec with
+  match Model_repair.repair ~base:(Pdtmc.of_dtmc d) d
+    (Pctl_parser.parse "P>=0.5 [ F goal ]") spec with
   | Model_repair.Repaired r ->
     let v = List.assoc "v" r.Model_repair.assignment in
     Alcotest.(check (float 1e-9)) "epsilon = max |Z| = v*" v

@@ -28,7 +28,11 @@ let test_wsn_e1_satisfied () =
   Alcotest.(check bool) "E in (40, 100]" true (e > 40.0 && e <= 100.0);
   Alcotest.(check bool) "property holds" true
     (Check_dtmc.check (Wsn.chain p) (Wsn.property 100));
-  match Model_repair.repair (Wsn.chain p) (Wsn.property 100) (Wsn.repair_spec p) with
+  let chain = Wsn.chain p in
+  match
+    Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 100)
+      (Wsn.repair_spec p)
+  with
   | Model_repair.Already_satisfied (Some v) ->
     Alcotest.(check (float 1e-6)) "reported value" e v
   | _ -> Alcotest.fail "expected Already_satisfied"
@@ -37,7 +41,11 @@ let test_wsn_e2_model_repair () =
   (* E2: X = 40 requires repair and admits it; corrections are small and
      positive (paper: p = 0.045, q = 0.081). *)
   let p = Wsn.default_params in
-  match Model_repair.repair (Wsn.chain p) (Wsn.property 40) (Wsn.repair_spec p) with
+  let chain = Wsn.chain p in
+  match
+    Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 40)
+      (Wsn.repair_spec p)
+  with
   | Model_repair.Repaired r ->
     let pv = List.assoc "p" r.Model_repair.assignment in
     let qv = List.assoc "q" r.Model_repair.assignment in
@@ -57,7 +65,11 @@ let test_wsn_e2_model_repair () =
 let test_wsn_e3_infeasible () =
   (* E3: X = 19 is out of reach within the correction bounds. *)
   let p = Wsn.default_params in
-  match Model_repair.repair (Wsn.chain p) (Wsn.property 19) (Wsn.repair_spec p) with
+  let chain = Wsn.chain p in
+  match
+    Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain (Wsn.property 19)
+      (Wsn.repair_spec p)
+  with
   | Model_repair.Infeasible { min_violation } ->
     Alcotest.(check bool) "positive violation" true (min_violation > 1.0)
   | _ -> Alcotest.fail "expected Infeasible"
@@ -109,6 +121,116 @@ let test_wsn_learning_recovers_chain () =
     (Float.abs (Dtmc.prob learned 8 8 -. Dtmc.prob d 8 8) < 0.05);
   Alcotest.(check bool) "fwd close" true
     (Float.abs (Dtmc.prob learned 8 7 -. Dtmc.prob d 8 7) < 0.05)
+
+(* ---------- Pipeline: exact learned chain vs its float lift ---------- *)
+
+(* The Pipeline of the served benchmark's repair_mix: WSN n=3 observations
+   covering every edge the Model Repair spec corrects, R <= b [F delivered]
+   with b in [18.5, 20.5], Model then Data Repair. *)
+let wsn_spec = Wsn.repair_spec Wsn.default_params
+let wsn_labels = [ ("delivered", [ 0 ]) ]
+let wsn_rewards = Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one)
+
+let rec covering_groups rng ~count =
+  let groups = Wsn.observation_groups rng Wsn.default_params ~count in
+  let c = Mle.transition_counts ~n:9 (List.concat_map snd groups) in
+  if List.for_all (fun (i, j, _) -> c.(i).(j) > 0.0) wsn_spec.Model_repair.deltas
+  then Tally.of_groups groups
+  else covering_groups rng ~count
+
+let pipeline_data_spec groups =
+  Data_repair.spec ~max_drop:0.999 ~pinned:[ "success" ] groups
+
+(* [Pipeline.run] as it was before learned chains stayed exact: Model
+   Repair perturbs [Pdtmc.of_dtmc] of the float chain. *)
+let float_base_pipeline ~groups phi =
+  let all = List.fold_left (fun acc (_, t) -> Tally.add acc t) Tally.empty groups in
+  let model =
+    Mle.learn_dtmc ~n:9 ~init:8 ~labels:wsn_labels
+      ~rewards:(Array.map Ratio.to_float wsn_rewards) all
+  in
+  let original = Check_dtmc.check_verbose model phi in
+  let report outcome =
+    { Pipeline.property = phi; original_value = original.Check_dtmc.value; outcome }
+  in
+  if original.Check_dtmc.holds then report (Pipeline.Original_ok original.Check_dtmc.value)
+  else
+    match Model_repair.repair ~base:(Pdtmc.of_dtmc model) model phi wsn_spec with
+    | Model_repair.Repaired r -> report (Pipeline.Model_repaired r)
+    | Model_repair.Already_satisfied v ->
+      { Pipeline.property = phi; original_value = v; outcome = Original_ok v }
+    | Model_repair.Infeasible { min_violation } -> (
+        match
+          Data_repair.repair ~n:9 ~init:8 ~labels:wsn_labels ~rewards:wsn_rewards phi
+            (pipeline_data_spec groups)
+        with
+        | Data_repair.Repaired r -> report (Pipeline.Data_repaired r)
+        | Data_repair.Already_satisfied v ->
+          { Pipeline.property = phi; original_value = v; outcome = Original_ok v }
+        | Data_repair.Infeasible { min_violation = d } ->
+          report
+            (Pipeline.Unrepairable
+               { model_repair_violation = Some min_violation;
+                 data_repair_violation = Some d }))
+
+(* A test-local memo, so the symbolic queries the property compares are
+   not eliminated a second time inside the repairs. *)
+let with_local_memo f =
+  let tbl = Hashtbl.create 8 in
+  Pquery.set_memo
+    (Some
+       (fun ~key ~compute ->
+          match Hashtbl.find_opt tbl key with
+          | Some v -> v
+          | None ->
+            let v = compute () in
+            Hashtbl.replace tbl key v;
+            v));
+  Fun.protect ~finally:(fun () -> Pquery.set_memo None) f
+
+let gen_pipeline_case =
+  QCheck2.Gen.(
+    triple (int_range 0 1_000_000) (int_range 600 3000)
+      (map (fun b -> Float.round (b *. 1000.0) /. 1000.0) (float_range 18.5 20.5)))
+
+(* Same Pipeline report byte for byte, and the two symbolic constraints
+   agree to 1e-12 relative at random points of the correction box. *)
+let check_pipeline_case (seed, count, bound) =
+  let rng = Prng.create seed in
+  let groups = covering_groups rng ~count in
+  let phi = Pctl_parser.parse (Printf.sprintf "R<=%g [ F delivered ]" bound) in
+  with_local_memo (fun () ->
+      let all = List.fold_left (fun acc (_, t) -> Tally.add acc t) Tally.empty groups in
+      let exact = Mle.learn ~n:9 ~init:8 ~labels:wsn_labels ~rewards:wsn_rewards all in
+      let lifted = Pdtmc.of_dtmc (Pdtmc.to_dtmc exact) in
+      let value base =
+        (Pquery.of_formula (Model_repair.parametric_model base wsn_spec) phi).Pquery.eval
+      in
+      let fe = value exact and ff = value lifted in
+      for _ = 1 to 8 do
+        let p = Prng.uniform rng 0.0 0.1 and q = Prng.uniform rng 0.0 0.1 in
+        let env = function "p" -> p | _ -> q in
+        let a = fe env and b = ff env in
+        if Float.abs (a -. b) > 1e-12 *. Float.abs b then
+          QCheck2.Test.fail_reportf "f(%g, %g): exact %.17g, lifted %.17g" p q a b
+      done;
+      let render r = Format.asprintf "%a" Pipeline.pp_report r in
+      let exact_report =
+        Pipeline.run ~n:9 ~init:8 ~labels:wsn_labels ~rewards:wsn_rewards
+          ~model_spec:wsn_spec ~data_spec:(pipeline_data_spec groups) ~groups phi
+      in
+      let float_report = float_base_pipeline ~groups phi in
+      if render exact_report <> render float_report then
+        QCheck2.Test.fail_reportf "exact base:@\n%s@\nfloat base:@\n%s"
+          (render exact_report) (render float_report);
+      true)
+
+let test_pipeline_exact_base =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
+    (QCheck2.Test.make ~name:"pipeline exact base = float base" ~count:40
+       ~print:(fun (seed, count, bound) ->
+           Printf.sprintf "seed=%d count=%d bound=%g" seed count bound)
+       gen_pipeline_case check_pipeline_case)
 
 (* ---------------- Car (§V-B) ---------------- *)
 
@@ -256,6 +378,7 @@ let () =
           Alcotest.test_case "E4: data repair" `Slow test_wsn_e4_data_repair;
           Alcotest.test_case "learning recovers chain" `Quick
             test_wsn_learning_recovers_chain;
+          test_pipeline_exact_base;
         ] );
       ( "car",
         [ Alcotest.test_case "F1: structure" `Quick test_car_f1_structure;

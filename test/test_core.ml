@@ -26,7 +26,8 @@ let branch_spec ?(hi = 0.5) () =
 let test_model_repair_feasible () =
   let d = branch () in
   (* Need P(F goal) >= 0.5: v must rise from 0.3 to 0.5, so v* = 0.2. *)
-  match MR.repair d (parse "P>=0.5 [ F goal ]") (branch_spec ()) with
+  match MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.5 [ F goal ]")
+    (branch_spec ()) with
   | MR.Repaired r ->
     Alcotest.(check (float 1e-3)) "v*" 0.2 (List.assoc "v" r.MR.assignment);
     Alcotest.(check (float 1e-3)) "achieved" 0.5 r.MR.achieved_value;
@@ -38,14 +39,16 @@ let test_model_repair_feasible () =
 
 let test_model_repair_already () =
   let d = branch () in
-  match MR.repair d (parse "P>=0.25 [ F goal ]") (branch_spec ()) with
+  match MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.25 [ F goal ]")
+    (branch_spec ()) with
   | MR.Already_satisfied (Some v) -> Alcotest.(check (float 1e-9)) "value" 0.3 v
   | _ -> Alcotest.fail "expected Already_satisfied"
 
 let test_model_repair_infeasible () =
   let d = branch () in
   (* v <= 0.1 cannot lift 0.3 to 0.6. *)
-  match MR.repair d (parse "P>=0.6 [ F goal ]") (branch_spec ~hi:0.1 ()) with
+  match MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.6 [ F goal ]")
+    (branch_spec ~hi:0.1 ()) with
   | MR.Infeasible { min_violation } ->
     Alcotest.(check bool) "violation ~ 0.2" true
       (min_violation > 0.1 && min_violation < 0.3)
@@ -59,25 +62,25 @@ let test_model_repair_validation () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
   in
   expect_invalid "unknown edge" (fun () ->
-      MR.repair d (parse "P>=0.5 [ F goal ]")
+      MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.5 [ F goal ]")
         {
           MR.variables = [ ("v", 0.0, 1.0) ];
           deltas = [ (1, 2, Ratfun.var "v") ];
         });
   expect_invalid "undeclared variable" (fun () ->
-      MR.repair d (parse "P>=0.5 [ F goal ]")
+      MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.5 [ F goal ]")
         {
           MR.variables = [ ("v", 0.0, 1.0) ];
           deltas = [ (0, 1, Ratfun.var "w"); (0, 2, Ratfun.neg (Ratfun.var "w")) ];
         });
   expect_invalid "unbalanced row" (fun () ->
-      MR.repair d (parse "P>=0.5 [ F goal ]")
+      MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.5 [ F goal ]")
         {
           MR.variables = [ ("v", 0.0, 1.0) ];
           deltas = [ (0, 1, Ratfun.var "v") ];
         });
   expect_invalid "duplicate variables" (fun () ->
-      MR.repair d (parse "P>=0.5 [ F goal ]")
+      MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "P>=0.5 [ F goal ]")
         {
           MR.variables = [ ("v", 0.0, 1.0); ("v", 0.0, 1.0) ];
           deltas = [ (0, 1, Ratfun.var "v"); (0, 2, Ratfun.neg (Ratfun.var "v")) ];
@@ -86,7 +89,7 @@ let test_model_repair_validation () =
 let test_model_repair_unsupported_property () =
   let d = branch () in
   match
-    MR.repair d
+    MR.repair ~base:(Pdtmc.of_dtmc d) d
       (parse "P>=0.5 [ F (P>=1 [ G goal ]) ]")
       (branch_spec ())
   with
@@ -110,7 +113,7 @@ let test_model_repair_reward_property () =
         [ (0, 1, Ratfun.var "v"); (0, 0, Ratfun.neg (Ratfun.var "v")) ];
     }
   in
-  match MR.repair d (parse "R<=3 [ F goal ]") spec with
+  match MR.repair ~base:(Pdtmc.of_dtmc d) d (parse "R<=3 [ F goal ]") spec with
   | MR.Repaired r ->
     Alcotest.(check (float 1e-3)) "v* = 1/3 - 0.2" (1.0 /. 3.0 -. 0.2)
       (List.assoc "v" r.MR.assignment);

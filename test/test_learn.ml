@@ -42,10 +42,86 @@ let test_learn_dtmc_smoothing () =
   Alcotest.(check (float 1e-12)) "smoothed p01" 0.75 (Dtmc.prob d 0 1);
   Alcotest.(check (float 1e-12)) "smoothed p02" 0.25 (Dtmc.prob d 0 2);
   Alcotest.check_raises "negative smoothing"
-    (Invalid_argument "Mle.learn_dtmc: negative smoothing") (fun () ->
+    (Invalid_argument "Mle.learn: negative smoothing") (fun () ->
         ignore
           (Mle.learn_dtmc ~n:2 ~init:0 ~smoothing:(-1.0)
              (Tally.of_traces traces)))
+
+(* The float learner [Mle.learn_dtmc] had before it became the
+   instantiation of the exact one: row-normalised float counts. *)
+let float_reference ~n ~smoothing ~support (t : Tally.t) =
+  let counts = Mle.counts ~n t in
+  List.iter (fun (s, d) -> counts.(s).(d) <- counts.(s).(d) +. smoothing) support;
+  let transitions = ref [] in
+  for s = 0 to n - 1 do
+    let total = Array.fold_left ( +. ) 0.0 counts.(s) in
+    if total > 0.0 then
+      Array.iteri
+        (fun d c -> if c > 0.0 then transitions := (s, d, c /. total) :: !transitions)
+        counts.(s)
+    else transitions := (s, s, 1.0) :: !transitions
+  done;
+  Dtmc.make ~n ~init:0 ~transitions:!transitions ()
+
+(* Seeded tallies: 2–9 states, up to 3n cells with counts up to 5000
+   (and a few near 2^40), smoothing 0, 0.5 or 1 over the observed edges
+   or over a random support. *)
+let gen_learn_case =
+  let open QCheck2.Gen in
+  let* n = int_range 2 9 in
+  let cell =
+    triple (int_range 0 (n - 1)) (int_range 0 (n - 1))
+      (frequency [ (9, int_range 1 5000); (1, int_range 1 (1 lsl 40)) ])
+  in
+  let* cells = list_size (int_range 1 (3 * n)) cell in
+  let* smoothing = oneofl [ 0.0; 0.5; 1.0 ] in
+  let* support =
+    option (list_size (int_range 1 n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))))
+  in
+  return (n, Tally.make ~traces:1 cells, smoothing, support)
+
+let print_learn_case (n, (t : Tally.t), smoothing, support) =
+  Printf.sprintf "n=%d smoothing=%g support=%s cells=[%s]" n smoothing
+    (match support with
+     | None -> "observed"
+     | Some l -> String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) l))
+    (String.concat ";"
+       (List.map (fun (s, d, k) -> Printf.sprintf "%d>%d:%d" s d k) t.Tally.transitions))
+
+(* The exact learner's entries are the count ratios themselves, and its
+   float instantiation equals the float reference bit for bit. *)
+let check_learn_case (n, (t : Tally.t), smoothing, support) =
+  let exact = Mle.learn ~n ~init:0 ~smoothing ?support t in
+  let learned = Mle.learn_dtmc ~n ~init:0 ~smoothing ?support t in
+  let support =
+    match support with
+    | Some l -> l
+    | None -> List.map (fun (s, d, _) -> (s, d)) t.Tally.transitions
+  in
+  let reference = float_reference ~n ~smoothing ~support t in
+  let bits d =
+    List.sort compare
+      (List.map (fun (s, d, p) -> (s, d, Int64.bits_of_float p)) (Dtmc.raw_transitions d))
+  in
+  if smoothing = 0.0 then
+    List.iter
+      (fun (s, d, k) ->
+         let total =
+           List.fold_left
+             (fun acc (s', _, k') -> if s' = s then acc + k' else acc)
+             0 t.Tally.transitions
+         in
+         let f = List.assoc d (Pdtmc.succ exact s) in
+         if not (Ratfun.equal f (Ratfun.const (Q.of_ints k total))) then
+           QCheck2.Test.fail_reportf "edge %d>%d is %s, not %d/%d" s d
+             (Ratfun.to_string f) k total)
+      t.Tally.transitions;
+  bits learned = bits reference
+
+let test_learn_exact_instantiation =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2018 |])
+    (QCheck2.Test.make ~name:"exact learner instantiates bit-equal" ~count:300
+       ~print:print_learn_case gen_learn_case check_learn_case)
 
 let test_learn_mdp_dists () =
   let m =
@@ -195,6 +271,7 @@ let () =
           Alcotest.test_case "smoothing" `Quick test_learn_dtmc_smoothing;
           Alcotest.test_case "learn mdp" `Quick test_learn_mdp_dists;
           Alcotest.test_case "parametric" `Quick test_parametric_mle;
+          test_learn_exact_instantiation;
         ] );
       ( "irl",
         [ Alcotest.test_case "learn" `Quick test_irl_learn;

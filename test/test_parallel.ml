@@ -2,11 +2,11 @@
    elimination must be byte-identical to its sequential schedule (on the
    WSN grids n=2..4, the lane-change chain, a tie-guard regression chain
    and seeded generated chains, where elimination is also checked against
-   a per-edge reference solver), solves and whole Model, Data and Reward
-   Repairs must give the same outcome with a pool runner installed as
-   without one, an injected worker crash mid-batch must be retried — not
-   wedge the batch — and nested subtask submission must complete on a
-   1-worker pool. *)
+   a per-edge reference solver), whole Model, Data and Reward Repairs must
+   give the same outcome with a pool runner installed as without one and
+   run as jobs through a 2-worker runtime as called directly, an injected
+   worker crash mid-batch must be retried — not wedge the batch — and
+   nested subtask submission must complete on a 1-worker pool. *)
 
 (* ------------------------------ harness ------------------------------- *)
 
@@ -26,7 +26,8 @@ let with_pool ~workers f =
 
 let wsn_pm n =
   let params = { Wsn.default_params with Wsn.n } in
-  Model_repair.parametric_model (Wsn.chain params) (Wsn.repair_spec params)
+  Model_repair.parametric_model (Pdtmc.of_dtmc (Wsn.chain params))
+    (Wsn.repair_spec params)
 
 (* The paper's lane-change introduction example (as in test_region.ml):
    repair variable f moves freeze mass back to the lane change. *)
@@ -48,7 +49,7 @@ let car_pm () =
       deltas = [ (0, 5, Ratfun.neg (Ratfun.var "f")); (0, 1, Ratfun.var "f") ];
     }
   in
-  Model_repair.parametric_model chain spec
+  Model_repair.parametric_model (Pdtmc.of_dtmc chain) spec
 
 let orders =
   [ ("min-degree", Elimination.Min_degree);
@@ -239,44 +240,54 @@ let test_elim_generated =
 
 (* --------------------------- NLP differential ------------------------- *)
 
-let feasible_problem () =
-  Nlp.problem ~dim:2
-    ~objective:(fun x ->
-      ((x.(0) -. 0.3) *. (x.(0) -. 0.3)) +. ((x.(1) +. 0.2) *. (x.(1) +. 0.2)))
-    ~inequalities:
-      [ ("disc", fun x -> (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) -. 1.0) ]
-    ~lower:[| -1.0; -1.0 |] ~upper:[| 1.0; 1.0 |] ()
-
-(* g > 0 everywhere in the box: every rung of the ladder stays
-   infeasible, exercising the best-infeasible tie-breaking fold *)
-let infeasible_problem () =
-  Nlp.problem ~dim:2
-    ~objective:(fun x -> x.(0) +. x.(1))
-    ~inequalities:[ ("impossible", fun x -> x.(0) +. 10.0) ]
-    ~lower:[| -1.0; -1.0 |] ~upper:[| 1.0; 1.0 |] ()
-
 (* outcome records hold float arrays; polymorphic compare is exactly the
    byte-identity the contract promises (no NaNs reach the fold) *)
 let check_outcome_identical name seq par =
   Alcotest.(check bool) name true (compare seq par = 0)
 
-let test_multistart_identical () =
-  let p = feasible_problem () in
-  let solve () = Nlp.solve ~starts:8 ~seed:3 p in
-  let reference = solve () in
-  let pooled = with_pool ~workers:2 (fun _ -> solve ()) in
-  check_outcome_identical "multistart pooled=sequential" reference pooled
+(* A job run through a 2-worker runtime, as a server runs it — on a pool
+   domain, with the batched elimination and the elimination cache
+   installed — against the direct call on this domain with neither.  The
+   report cache is off so every repeat really runs on the pool. *)
+let check_served_identical ~repeats name job =
+  let reference = Job.run job in
+  Runtime.with_runtime ~workers:2 ~report_cache_capacity:0 (fun rt ->
+      for i = 1 to repeats do
+        match Runtime.run_batch rt [ job ] with
+        | [ Future.Value o ] ->
+          check_outcome_identical
+            (Printf.sprintf "%s served=direct (run %d)" name i)
+            reference o
+        | _ -> Alcotest.failf "%s: served run %d did not complete" name i
+      done)
 
+let wsn_data_job () =
+  let p = Wsn.default_params in
+  let groups = Wsn.observation_groups (Prng.create 42) p ~count:600 in
+  Job.Data_repair
+    { n = 9; init = 8; labels = [ ("delivered", [ 0 ]) ];
+      rewards = Some (Array.init 9 (fun s -> if s = 0 then Ratio.zero else Ratio.one));
+      phi = Wsn.property 19;
+      spec = Data_repair.spec ~pinned:[ "success" ] (Tally.of_groups groups);
+      starts = 4; backend = Repair_backend.Nlp_solver }
+
+(* Data Repair's NLP is a plain multistart ([Nlp.solve ~starts]). *)
+let test_multistart_identical () =
+  check_served_identical ~repeats:3 "wsn data repair job" (wsn_data_job ())
+
+(* Model Repair jobs climb the fallback ladder: X = 40 stops at the first
+   feasible rung, X = 19 is infeasible on every rung. *)
 let test_fallback_identical () =
+  let p = Wsn.default_params in
   List.iter
-    (fun (name, p) ->
-       let solve () = Nlp.solve_with_fallback ~starts:4 ~seed:7 p in
-       let reference = solve () in
-       let pooled = with_pool ~workers:2 (fun _ -> solve ()) in
-       check_outcome_identical
-         (Printf.sprintf "fallback %s pooled=sequential" name)
-         reference pooled)
-    [ ("feasible", feasible_problem ()); ("infeasible", infeasible_problem ()) ]
+    (fun bound ->
+       check_served_identical ~repeats:3
+         (Printf.sprintf "wsn model repair job X=%d" bound)
+         (Job.Model_repair
+            { model = Wsn.chain p; phi = Wsn.property bound;
+              spec = Wsn.repair_spec p; starts = 4;
+              backend = Repair_backend.Nlp_solver }))
+    [ 40; 19 ]
 
 (* Arena-backed problems: with a runner installed the repair's
    elimination runs batched on pool domains, then every start and rung
@@ -302,7 +313,8 @@ let test_model_repair_identical () =
        check_pooled_identical ~repeats:10
          (Printf.sprintf "wsn n=3 model repair fallback=%b" fallback)
          (fun () ->
-            Model_repair.repair ~starts:4 ~fallback (Wsn.chain p)
+            Model_repair.repair ~starts:4 ~fallback
+              ~base:(Pdtmc.of_dtmc (Wsn.chain p)) (Wsn.chain p)
               (Wsn.property 40) (Wsn.repair_spec p)))
     [ false; true ]
 
@@ -317,11 +329,10 @@ let test_data_repair_identical () =
         ~rewards ~starts:4 (Wsn.property 19) sp)
 
 let test_reward_repair_identical () =
-  let m = Car.mdp () in
-  check_pooled_identical ~repeats:4 "car reward repair" (fun () ->
-      Reward_repair.repair_q ~gamma:0.9 ~starts:4 m
-        ~theta:Car.paper_learned_theta
-        ~constraints:[ Car.unsafe_q_constraint ])
+  check_served_identical ~repeats:2 "car reward repair job"
+    (Job.Reward_repair
+       { mdp = Car.mdp (); theta = Car.paper_learned_theta;
+         constraints = [ Car.unsafe_q_constraint ]; gamma = 0.9; starts = 4 })
 
 (* ------------------------------- chaos -------------------------------- *)
 

@@ -128,6 +128,31 @@ let test_elim_unreachable_and_trivial () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "empty target rejected")
 
+(* Regression: a trap reachable only through the target.  Both queries
+   stop at the first hit, so the trap behind it does not make the reward
+   infinite; the forward search used to walk through the target and raise
+   [Not_almost_sure 2]. *)
+let test_elim_trap_behind_target () =
+  let d =
+    Pdtmc.make ~n:3 ~init:0
+      ~transitions:[ (0, 0, R.sub rone rp); (0, 1, rp); (1, 2, rone); (2, 2, rone) ]
+      ~rewards:[| rone; rone; rone |]
+      ()
+  in
+  check_rf "reward until the first hit" (R.inv rp)
+    (Elimination.expected_reward d ~target:[ 1 ]);
+  check_rf "probability of the first hit" rone
+    (Elimination.reachability_probability d ~target:[ 1 ]);
+  (* a trap before the target still raises *)
+  let trapped =
+    Pdtmc.make ~n:3 ~init:0
+      ~transitions:[ (0, 2, R.sub rone rp); (0, 1, rp); (1, 1, rone); (2, 2, rone) ]
+      ()
+  in
+  match Elimination.expected_reward trapped ~target:[ 1 ] with
+  | exception Elimination.Not_almost_sure 2 -> ()
+  | _ -> Alcotest.fail "expected Not_almost_sure 2"
+
 let test_elim_orders_agree () =
   let d =
     Pdtmc.make ~n:5 ~init:0
@@ -236,6 +261,8 @@ let () =
           Alcotest.test_case "branch" `Quick test_elim_branch;
           Alcotest.test_case "two params" `Quick test_elim_two_param;
           Alcotest.test_case "unreachable/trivial" `Quick test_elim_unreachable_and_trivial;
+          Alcotest.test_case "trap behind target" `Quick
+            test_elim_trap_behind_target;
           Alcotest.test_case "orders agree" `Quick test_elim_orders_agree;
           Alcotest.test_case "compound reward" `Quick test_elim_reward_compound;
         ] );

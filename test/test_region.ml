@@ -126,7 +126,7 @@ let test_wsn_differential () =
   let phi = Wsn.property 16 in
   let spec = Wsn.repair_spec params in
   let var_names = List.map (fun (n, _, _) -> n) spec.Model_repair.variables in
-  let pmodel = Model_repair.parametric_model chain spec in
+  let pmodel = Model_repair.parametric_model (Pdtmc.of_dtmc chain) spec in
   let query = Pquery.of_formula pmodel phi in
   let c = Region_verify.of_query ~vars:var_names query in
   let box = Box.make spec.Model_repair.variables in
@@ -149,12 +149,13 @@ let test_wsn_repair_vs_nlp () =
   let spec = Wsn.repair_spec params in
   let gap = 0.05 in
   let region =
-    match Model_repair.repair ~backend:Repair_backend.Region ~gap chain phi spec with
+    match Model_repair.repair ~backend:Repair_backend.Region ~gap
+      ~base:(Pdtmc.of_dtmc chain) chain phi spec with
     | Model_repair.Repaired r -> r
     | _ -> Alcotest.fail "region backend must repair WSN n=2"
   in
   let nlp =
-    match Model_repair.repair chain phi spec with
+    match Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain phi spec with
     | Model_repair.Repaired r -> r
     | _ -> Alcotest.fail "NLP backend must repair WSN n=2"
   in
@@ -203,7 +204,7 @@ let car_spec =
 
 let test_car_differential () =
   let chain = car_chain () in
-  let pmodel = Model_repair.parametric_model chain car_spec in
+  let pmodel = Model_repair.parametric_model (Pdtmc.of_dtmc chain) car_spec in
   let query = Pquery.of_formula pmodel car_property in
   let c = Region_verify.of_query ~vars:[ "f" ] query in
   let box = Box.make car_spec.Model_repair.variables in
@@ -224,14 +225,16 @@ let test_car_repair_vs_nlp () =
   let gap = 0.05 in
   let region =
     match
-      Model_repair.repair ~backend:Repair_backend.Region ~gap chain
+      Model_repair.repair ~backend:Repair_backend.Region ~gap
+        ~base:(Pdtmc.of_dtmc chain) chain
         car_property car_spec
     with
     | Model_repair.Repaired r -> r
     | _ -> Alcotest.fail "region backend must repair the car chain"
   in
   let nlp =
-    match Model_repair.repair chain car_property car_spec with
+    match Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain car_property
+      car_spec with
     | Model_repair.Repaired r -> r
     | _ -> Alcotest.fail "NLP backend must repair the car chain"
   in
@@ -266,9 +269,11 @@ let test_smc_prefilter_backend () =
   (* the SMC pre-filter path must agree with the plain NLP path on the
      lane-change repair (it only short-circuits the initial check) *)
   let chain = car_chain () in
-  let nlp = Model_repair.repair chain car_property car_spec in
+  let nlp = Model_repair.repair ~base:(Pdtmc.of_dtmc chain) chain car_property
+    car_spec in
   let pre =
-    Model_repair.repair ~backend:Repair_backend.Smc_prefilter chain
+    Model_repair.repair ~backend:Repair_backend.Smc_prefilter
+      ~base:(Pdtmc.of_dtmc chain) chain
       car_property car_spec
   in
   match (nlp, pre) with

@@ -284,6 +284,37 @@ let test_report_cache_hits_on_repeat () =
       Alcotest.(check int) "all jobs accounted"
         (2 * List.length jobs) (Runtime.stats rt).Runtime_stats.completed)
 
+let arena_compiles = Metrics.counter "tml_arena_compiles_total"
+
+(* How many arenas [f ()] compiles. *)
+let compiles f =
+  let before = Metrics.counter_value arena_compiles in
+  let v = f () in
+  (v, Metrics.counter_value arena_compiles - before)
+
+(* Under a runtime the elimination cache holds the compiled value, and the
+   NLP's property constraint and achieved value reuse its arena (the spec
+   order is the query's own): a cold Model Repair compiles one arena, a
+   repeat on the same chain with another bound compiles none. *)
+let test_model_repair_compiles_once () =
+  Runtime.with_runtime ~workers:1 (fun _rt ->
+      let model = branch () and spec = branch_spec () in
+      let repair b =
+        Model_repair.repair ~base:(Pdtmc.of_dtmc model) model
+          (parse (Printf.sprintf "P>=%g [ F goal ]" b))
+          spec
+      in
+      let repaired = function
+        | Model_repair.Repaired r -> r.Model_repair.verified
+        | _ -> false
+      in
+      let cold, n_cold = compiles (fun () -> repair 0.5) in
+      Alcotest.(check bool) "cold repair verified" true (repaired cold);
+      Alcotest.(check int) "cold repair compiles one arena" 1 n_cold;
+      let warm, n_warm = compiles (fun () -> repair 0.45) in
+      Alcotest.(check bool) "repeat verified" true (repaired warm);
+      Alcotest.(check int) "repeat compiles no arena" 0 n_warm)
+
 let test_runtime_stage_timings () =
   Runtime.with_runtime ~workers:1 (fun rt ->
       let _ = Runtime.run_batch rt (repair_jobs [ 0.5 ]) in
@@ -444,6 +475,8 @@ let () =
             test_batch_matches_sequential;
           Alcotest.test_case "report cache on repeat" `Quick
             test_report_cache_hits_on_repeat;
+          Alcotest.test_case "model repair compiles once" `Quick
+            test_model_repair_compiles_once;
           Alcotest.test_case "stage timings" `Quick test_runtime_stage_timings;
           Alcotest.test_case "stage totals survive another runtime" `Quick
             test_stage_totals_survive_other_runtime;

@@ -361,7 +361,7 @@ let wsn_reward_goldens =
 let wsn_parametric =
   lazy
     (Model_repair.parametric_model
-       (Wsn.chain Wsn.default_params)
+       (Pdtmc.of_dtmc (Wsn.chain Wsn.default_params))
        (Wsn.repair_spec Wsn.default_params))
 
 let test_elimination_reward_goldens () =
