@@ -1,4 +1,4 @@
-.PHONY: all test lint-knobs lint-unreached region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke ab doc docs-check clean
+.PHONY: all test lint-knobs lint-unreached experiments-check region-test fault-test trace-test server-smoke server-smoke-chaos fleet-smoke fleet-smoke-chaos watch-smoke watch-smoke-chaos bench kernel-bench perf-check bench-baseline perfbench-smoke ab doc docs-check clean
 
 all:
 	dune build @all
@@ -20,6 +20,13 @@ lint-knobs:
 # perfbench/; fail on one that only its own tests name.
 lint-unreached:
 	scripts/lint_unreached.sh
+
+# The paper's verdicts: every E1-E6/F1 row of `tml experiments --quick`
+# must pass (the command exits 1 on any failed row).  The test suites
+# assert only F1, E1 and E3.
+experiments-check:
+	dune build ./bin/tml_cli.exe
+	./_build/default/bin/tml_cli.exe experiments --quick
 
 # Region backend only: interval edge cases, certified repair, and the
 # differential verdict-soundness suite against the exact checker.

@@ -106,9 +106,9 @@ let bench_e5_irl =
            (Lazy.force car_mdp) (Car.expert_traces 5)))
 
 let bench_e5_repair =
-  Test.make ~name:"e5/reward repair (Q-constraint) backend=nlp"
+  Test.make ~name:"e5/reward repair (Q-constraint) backend=qp"
     (Staged.stage (fun () ->
-         Reward_repair.repair_q ~gamma:0.9 ~starts:2 (Lazy.force car_mdp)
+         Reward_repair.repair_q ~gamma:0.9 (Lazy.force car_mdp)
            ~theta:(Lazy.force car_theta)
            ~constraints:[ Car.unsafe_q_constraint ]))
 

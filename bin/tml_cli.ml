@@ -364,6 +364,9 @@ let run_reward_repair mdp_file theta constraints gamma =
          Printf.printf "optimal policy:";
          Array.iteri (fun s a -> Printf.printf " (S%d,%s)" s a) r.Reward_repair.policy;
          print_newline ();
+         let { Reward_repair.better; worse; rounds } = r.Reward_repair.searched in
+         Printf.printf "searched: %d better-side, %d worse-side policies in %d rounds\n"
+           better worse rounds;
          Ok true
      with
      | Mdp_io.Parse_error msg -> Error msg
@@ -584,7 +587,6 @@ let batch_jobs ~backend ~grid suite count =
         theta = Car.paper_learned_theta;
         constraints = [ Car.unsafe_q_constraint ];
         gamma = 0.88 +. (0.005 *. float_of_int (j mod 8));
-        starts = 2;
       }
   in
   let mk =
@@ -1162,7 +1164,10 @@ let max_drop_arg =
   Arg.(value & opt float 0.999 & info [ "max-drop" ] ~docv:"F" ~doc)
 
 let starts_arg =
-  let doc = "Multi-start count for the repair solvers." in
+  let doc =
+    "Multi-start count for the Model and Data Repair NLP solvers (Reward \
+     Repair has no starts and ignores it)."
+  in
   Arg.(value & opt int 4 & info [ "starts" ] ~docv:"N" ~doc)
 
 let client_job_arg =

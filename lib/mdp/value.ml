@@ -64,14 +64,17 @@ let check_rewards k rewards =
 (* Q(s, slot j): the successor sum folds from 0.0 in stored order, then
    [state reward + action reward + γ·future] — the operation order every
    caller's bit-for-bit results depend on. *)
-let[@inline] q_unsafe ~gamma k rewards v s j =
-  let future = ref 0.0 in
+let[@inline] future k v j =
+  let acc = ref 0.0 in
   for i = Array.unsafe_get k.succ_off j to Array.unsafe_get k.succ_off (j + 1) - 1 do
-    future :=
-      !future
+    acc :=
+      !acc
       +. (Array.unsafe_get k.prob i *. Array.unsafe_get v (Array.unsafe_get k.succ i))
   done;
-  Array.unsafe_get rewards s +. Array.unsafe_get k.act_reward j +. (gamma *. !future)
+  !acc
+
+let[@inline] q_unsafe ~gamma k rewards v s j =
+  Array.unsafe_get rewards s +. Array.unsafe_get k.act_reward j +. (gamma *. future k v j)
 
 let check_values k v =
   if Array.length v < k.n then invalid_arg "Value: value vector too short"
@@ -117,6 +120,64 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-10) ~gamma k ~rewards =
   check_rewards k rewards;
   sweep ~max_iter ~tol ~gamma k rewards (Array.sub k.act_off 0 k.n)
     (Array.sub k.act_off 1 k.n)
+
+(* The greedy slot of each state under [v]: the first slot whose Q value
+   beats every earlier one — {!greedy_policy}'s tie-break, since slots
+   are in name order. *)
+let greedy_slots ~gamma k ~rewards v =
+  check_gamma gamma;
+  check_rewards k rewards;
+  check_values k v;
+  Array.init k.n (fun s ->
+      let best = ref k.act_off.(s) in
+      let best_q = ref (q_unsafe ~gamma k rewards v s !best) in
+      for j = k.act_off.(s) + 1 to k.act_off.(s + 1) - 1 do
+        let q = q_unsafe ~gamma k rewards v s j in
+        if q > !best_q then begin
+          best := j;
+          best_q := q
+        end
+      done;
+      !best)
+
+(* Policy evaluation by one LU factorisation of (I − γP_π), one
+   back-solve per reward column, then one Bellman backup per slot.  The
+   last column carries the action rewards alone, so for state rewards
+   Σ θ_i·columns_i the Q value of slot [j] is Σ θ_i·q_i(j) + q_last(j). *)
+let policy_q ~gamma k ~policy columns =
+  if not (gamma > 0.0 && gamma < 1.0) then
+    invalid_arg (Printf.sprintf "Value.policy_q: gamma %g outside (0, 1)" gamma);
+  if Array.length policy <> k.n then
+    invalid_arg "Value.policy_q: policy has wrong length";
+  Array.iteri
+    (fun s j ->
+       if j < k.act_off.(s) || j >= k.act_off.(s + 1) then
+         invalid_arg "Value.policy_q: slot is not an action of the state")
+    policy;
+  Array.iter (check_rewards k) columns;
+  let a = Linalg.Mat.identity k.n in
+  Array.iteri
+    (fun s j ->
+       for i = k.succ_off.(j) to k.succ_off.(j + 1) - 1 do
+         let t = k.succ.(i) in
+         Linalg.Mat.set a s t (Linalg.Mat.get a s t -. (gamma *. k.prob.(i)))
+       done)
+    policy;
+  let action = Array.map (fun j -> k.act_reward.(j)) policy in
+  let values =
+    Linalg.lu_solve_many a (Array.to_list columns @ [ action ]) |> Array.of_list
+  in
+  Array.mapi
+    (fun c v ->
+       let q = Array.make k.act_off.(k.n) 0.0 in
+       for s = 0 to k.n - 1 do
+         for j = k.act_off.(s) to k.act_off.(s + 1) - 1 do
+           let r = if c < Array.length columns then columns.(c).(s) else k.act_reward.(j) in
+           q.(j) <- r +. (gamma *. future k v j)
+         done
+       done;
+       q)
+    values
 
 (* ------------------------------------------------------------------ *)
 (* Mdp entry points                                                     *)

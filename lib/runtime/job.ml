@@ -22,7 +22,6 @@ type t =
       theta : float array;
       constraints : Reward_repair.q_constraint list;
       gamma : float;
-      starts : int;
     }
   | Pipeline of {
       n : int;
@@ -61,9 +60,8 @@ let run = function
   | Data_repair { n; init; labels; rewards; phi; spec; starts; backend } ->
     Data_repair_result
       (Data_repair.repair ~n ~init ~labels ?rewards ~backend ~starts phi spec)
-  | Reward_repair { mdp; theta; constraints; gamma; starts } ->
-    Reward_repair_result
-      (Reward_repair.repair_q ~gamma ~starts mdp ~theta ~constraints)
+  | Reward_repair { mdp; theta; constraints; gamma } ->
+    Reward_repair_result (Reward_repair.repair_q ~gamma mdp ~theta ~constraints)
   | Pipeline { n; init; labels; rewards; model_spec; data_spec; groups; phi } ->
     Pipeline_report
       (Pipeline.run ~n ~init ~labels ?rewards ?model_spec ?data_spec ~groups phi)
@@ -189,8 +187,8 @@ let digest job =
      add_rewards_opt buf rewards;
      add_data_spec buf spec;
      Buffer.add_string buf (Pctl.to_string phi)
-   | Reward_repair { mdp; theta; constraints; gamma; starts } ->
-     Buffer.add_string buf (Printf.sprintf "rrepair:%h:%d|" gamma starts);
+   | Reward_repair { mdp; theta; constraints; gamma } ->
+     Buffer.add_string buf (Printf.sprintf "rrepair:%h|" gamma);
      add_mdp buf mdp;
      Array.iter (add_float buf) theta;
      List.iter
@@ -272,5 +270,8 @@ let pp_outcome fmt = function
     Array.iteri
       (fun s a -> Format.fprintf fmt " (S%d,%s)" s a)
       r.Reward_repair.policy;
-    Format.fprintf fmt "@\n"
+    let { Reward_repair.better; worse; rounds } = r.Reward_repair.searched in
+    Format.fprintf fmt
+      "@\n  searched: %d better-side, %d worse-side policies in %d rounds@\n"
+      better worse rounds
   | Pipeline_report report -> Pipeline.pp_report fmt report

@@ -34,7 +34,6 @@ type t =
       theta : float array;
       constraints : Reward_repair.q_constraint list;
       gamma : float;
-      starts : int;
     }
   | Pipeline of {
       n : int;

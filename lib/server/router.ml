@@ -1,13 +1,23 @@
+(* A job as the router holds it.  The first poll or wait that finds the
+   future settled renders its reply state once — settled jobs are
+   polled/waited repeatedly (fan-in clients, fleet probes) and
+   re-rendering through [Format] on every read dominates the settled fast
+   path — and from then on the entry keeps only that state: the outcome
+   itself (a repaired model, a Q-table's policy, learned tallies) is
+   dropped, so a long-lived server's job table grows by report text, not
+   by outcomes. *)
+type slot =
+  | Running of Job.outcome Future.t
+  | Settled of Wire.job_state  (** never [Job_pending] *)
+
 type entry = {
-  fut : Job.outcome Future.t;
   client : int;
   mutable released : bool;
-  (* the [Job_done] report text, rendered once on first read — settled
-     jobs are polled/waited repeatedly (fan-in clients, fleet probes) and
-     re-rendering through [Format] on every read dominates the settled
-     fast path *)
-  mutable report : string option;
+  mutable slot : slot;
 }
+
+(* a decode-memo value: the job's kind and digest, and its last use *)
+type memo = { kind : string; job : string; mutable used : int }
 
 type t = {
   mutex : Mutex.t;
@@ -18,14 +28,17 @@ type t = {
      only ones [sweep] must look at, so a sweep per request costs a nil
      check rather than a walk of the whole settled history *)
   mutable live : entry list;
-  (* memo of wire payload -> (job kind, digest): resubmits of an
-     identical request (retries, fan-in clients) skip the textual model
-     parse and the digest hash — the dominant per-request cost once the
-     job itself is deduplicated.  It holds no decoded job (a parsed Data
-     Repair or Pipeline job is hundreds of KB): a hit is answered from
-     the job table, and only a hit whose digest is missing there (a
-     submit the runtime shed, now retried) decodes again. *)
-  decode_memo : (Wire.job_request, string * string) Hashtbl.t;
+  (* LRU memo of wire payload -> (job kind, digest), keyed on an MD5 of
+     the payload: resubmits of an identical request (retries, fan-in
+     clients) skip the textual model parse and the job digest — the
+     dominant per-request cost once the job itself is deduplicated.  It
+     holds neither the payload (a repair_mix request carries KBs of trace
+     text) nor a decoded job (a parsed Data Repair or Pipeline job is
+     hundreds of KB): a hit is answered from the job table, and only a
+     hit whose digest is missing there (a submit the runtime shed, now
+     retried) decodes again. *)
+  decode_memo : (Digest.t, memo) Hashtbl.t;
+  mutable memo_clock : int;
   (* replicated reports pushed by a fleet coordinator (Put_report): a
      bounded FIFO of digest -> rendered report, servable by poll/wait
      even though this node never ran the job *)
@@ -52,6 +65,7 @@ let create ?admission ?job_timeout_s ?retry runtime =
     jobs = Hashtbl.create 64;
     live = [];
     decode_memo = Hashtbl.create 64;
+    memo_clock = 0;
     replicas = Hashtbl.create 64;
     replica_fifo = Queue.create ();
     job_timeout_s;
@@ -124,6 +138,9 @@ let outcome_counter =
 
 (* ------------------------------ sweep ------------------------------ *)
 
+let running e =
+  match e.slot with Running fut -> Future.is_pending fut | Settled _ -> false
+
 (* Admission tickets are released when the job settles.  Futures have no
    completion callback, so every [handle] call sweeps the registry —
    cheap (the table holds at most max_pending unreleased entries plus
@@ -135,9 +152,7 @@ let sweep t =
         match t.live with
         | [] -> []
         | live ->
-          let pending, settled =
-            List.partition (fun e -> Future.is_pending e.fut) live
-          in
+          let pending, settled = List.partition running live in
           List.iter (fun e -> e.released <- true) settled;
           t.live <- pending;
           List.map (fun e -> e.client) settled)
@@ -154,17 +169,20 @@ let state_of = function
   | Future.Cancelled -> Wire.Job_cancelled
   | Future.Timed_out -> Wire.Job_timed_out
 
-(* [state_of] via the entry's report cache. *)
-let state_of_entry e outcome =
-  match outcome with
-  | Future.Value o -> (
-      match e.report with
-      | Some r -> Wire.Job_done r
-      | None ->
-        let r = render_outcome o in
-        e.report <- Some r;
-        Wire.Job_done r)
-  | o -> state_of o
+(* The entry's reply state, [None] while its job runs; the first read
+   of a settled future renders it and drops the outcome.  Entries are
+   read outside the lock: two first reads may both render, and they
+   render the same text. *)
+let settled_state e =
+  match e.slot with
+  | Settled st -> Some st
+  | Running fut ->
+    Option.map
+      (fun outcome ->
+         let st = state_of outcome in
+         e.slot <- Settled st;
+         st)
+      (Future.peek fut)
 
 let not_found digest =
   Wire.Error_reply
@@ -200,22 +218,51 @@ let not_a_coordinator () =
       transient = false;
     }
 
+(* the decode memo keeps at most this many payloads, evicting the least
+   recently used *)
 let decode_memo_cap = 512
+
+let payload_key (jr : Wire.job_request) =
+  Digest.string (Marshal.to_string jr [ Marshal.No_sharing ])
+
+let memo_find t key =
+  locked t (fun () ->
+      Option.map
+        (fun m ->
+           t.memo_clock <- t.memo_clock + 1;
+           m.used <- t.memo_clock;
+           (m.kind, m.job))
+        (Hashtbl.find_opt t.decode_memo key))
+
+let memo_add t key ~kind ~job =
+  locked t (fun () ->
+      if (not (Hashtbl.mem t.decode_memo key))
+         && Hashtbl.length t.decode_memo >= decode_memo_cap
+      then begin
+        let lru =
+          Hashtbl.fold
+            (fun k m acc ->
+               match acc with
+               | Some (_, used) when used <= m.used -> acc
+               | _ -> Some (k, m.used))
+            t.decode_memo None
+        in
+        Option.iter (fun (k, _) -> Hashtbl.remove t.decode_memo k) lru
+      end;
+      t.memo_clock <- t.memo_clock + 1;
+      Hashtbl.replace t.decode_memo key { kind; job; used = t.memo_clock })
 
 let decode_counter =
   Metrics.counter "tml_server_job_decodes_total"
     ~help:"Submitted job payloads parsed (submits not answered by the decode memo)"
 
-let decode_job t jr =
+let decode_job t key jr =
   Metrics.incr decode_counter;
   match Wire.job_of_request jr with
   | exception e -> Error e
   | job ->
     let digest = Job.digest job in
-    locked t (fun () ->
-        if Hashtbl.length t.decode_memo >= decode_memo_cap then
-          Hashtbl.reset t.decode_memo;
-        Hashtbl.replace t.decode_memo jr (Job.kind job, digest));
+    memo_add t key ~kind:(Job.kind job) ~job:digest;
     Ok (job, digest)
 
 (* The answer to a submit of a digest this node already knows, if any. *)
@@ -230,7 +277,7 @@ let known_submit t digest =
     | Some e ->
       (* duplicate submit: the first ticket is still tracking this job,
          so the new one is returned immediately *)
-      Some (Wire.Accepted { job = digest; cached = not (Future.is_pending e.fut) })
+      Some (Wire.Accepted { job = digest; cached = not (running e) })
     | None -> None
 
 let do_submit t ~client jr =
@@ -247,8 +294,9 @@ let do_submit t ~client jr =
       Wire.Error_reply (Wire.err_of_exn (Admission.overloaded_error v))
     | Admission.Admitted -> (
         let release () = Admission.release t.admission ~client in
+        let key = payload_key jr in
         let memo_hit =
-          match locked t (fun () -> Hashtbl.find_opt t.decode_memo jr) with
+          match memo_find t key with
           | None -> None
           | Some (kind, digest) ->
             Option.map (fun resp -> (kind, resp)) (known_submit t digest)
@@ -259,7 +307,7 @@ let do_submit t ~client jr =
           release ();
           resp
         | None -> (
-            match decode_job t jr with
+            match decode_job t key jr with
             | Error e ->
               release ();
               Wire.Error_reply (Wire.err_of_exn e)
@@ -281,7 +329,7 @@ let do_submit t ~client jr =
                       Wire.Error_reply (Wire.err_of_exn e)
                     | peeked ->
                       locked t (fun () ->
-                          let e = { fut; client; released = false; report = None } in
+                          let e = { client; released = false; slot = Running fut } in
                           Hashtbl.replace t.jobs digest e;
                           t.live <- e :: t.live);
                       Wire.Accepted
@@ -294,10 +342,8 @@ let do_status t digest =
      | Some report -> Wire.Status { job = digest; state = Wire.Job_done report }
      | None -> not_found digest)
   | Some e ->
-    (match Future.peek e.fut with
-     | None -> Wire.Status { job = digest; state = Wire.Job_pending }
-     | Some outcome ->
-       Wire.Status { job = digest; state = state_of_entry e outcome })
+    let state = Option.value (settled_state e) ~default:Wire.Job_pending in
+    Wire.Status { job = digest; state }
 
 let do_wait t digest timeout_s =
   match find t digest with
@@ -306,11 +352,12 @@ let do_wait t digest timeout_s =
      | Some report -> Wire.Status { job = digest; state = Wire.Job_done report }
      | None -> not_found digest)
   | Some e ->
-    (match Future.await ?timeout_s e.fut with
-     | Future.Timed_out when Future.is_pending e.fut ->
-       (* the wait's own deadline expired; the job is still running *)
-       Wire.Status { job = digest; state = Wire.Job_pending }
-     | outcome -> Wire.Status { job = digest; state = state_of_entry e outcome })
+    (match e.slot with
+     | Running fut -> ignore (Future.await ?timeout_s fut : Job.outcome Future.outcome)
+     | Settled _ -> ());
+    (* still running means the wait's own deadline expired *)
+    let state = Option.value (settled_state e) ~default:Wire.Job_pending in
+    Wire.Status { job = digest; state }
 
 let do_cancel t digest =
   match find t digest with
@@ -321,7 +368,9 @@ let do_cancel t digest =
        Wire.Cancelled { job = digest; cancelled = false }
      | None -> not_found digest)
   | Some e ->
-    let cancelled = Future.cancel e.fut in
+    let cancelled =
+      match e.slot with Running fut -> Future.cancel fut | Settled _ -> false
+    in
     Wire.Cancelled { job = digest; cancelled }
 
 (* Which requests may block the caller.  Only a wait on a job that is
@@ -332,7 +381,7 @@ let do_cancel t digest =
 let classify t = function
   | Wire.Wait (digest, _) -> (
       match find t digest with
-      | Some e -> if Future.is_pending e.fut then `Slow else `Fast
+      | Some e -> if running e then `Slow else `Fast
       | None -> `Fast (* not-found or replica: answered immediately *))
   | _ -> `Fast
 
@@ -370,7 +419,7 @@ let handle t ~client req =
 let pending_jobs t =
   locked t (fun () ->
       Hashtbl.fold
-        (fun _ e n -> if Future.is_pending e.fut then n + 1 else n)
+        (fun _ e n -> if running e then n + 1 else n)
         t.jobs 0)
 
 let set_draining t = t.draining <- true
@@ -378,6 +427,11 @@ let draining t = t.draining
 
 let drain ?timeout_s t =
   set_draining t;
-  let futures = locked t (fun () -> Hashtbl.fold (fun _ e acc -> e.fut :: acc) t.jobs []) in
+  let futures =
+    locked t (fun () ->
+        Hashtbl.fold
+          (fun _ e acc -> match e.slot with Running fut -> fut :: acc | Settled _ -> acc)
+          t.jobs [])
+  in
   List.iter (fun fut -> ignore (Future.await ?timeout_s fut : Job.outcome Future.outcome)) futures;
   sweep t

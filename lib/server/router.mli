@@ -7,6 +7,12 @@
     job's future (and, like any re-submit, is served straight from the
     runtime's report cache once settled).
 
+    A settled job keeps only its rendered reply: the first poll or wait
+    that finds it settled renders the report and drops the outcome, and
+    later reads serve the same text.  Resubmits of an identical payload
+    skip the decode through a memo keyed on the payload's MD5, which
+    keeps the 512 most recently used payloads.
+
     Shedding is typed end to end: admission limits and the runtime's own
     bounded queue both surface as an ["overloaded"] {e transient} wire
     error, so a client can back off and resubmit.  Admission tickets are

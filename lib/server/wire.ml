@@ -563,7 +563,7 @@ let job_of_request = function
         starts;
         backend = parse_backend backend;
       }
-  | Reward_repair_req { mdp; theta; constraints; gamma; starts } ->
+  | Reward_repair_req { mdp; theta; constraints; gamma; starts = _ } ->
     Job.Reward_repair
       {
         mdp = Mdp_io.parse mdp;
@@ -574,7 +574,6 @@ let job_of_request = function
                { Reward_repair.state; better; worse; margin })
             constraints;
         gamma;
-        starts;
       }
   | Pipeline_req
       { states; init; labels; rewards; model_spec; data_spec; traces; phi } ->

@@ -182,6 +182,9 @@ type job_request =
           (** (state, better, worse, margin) *)
       gamma : float;
       starts : int;
+          (** decoded and ignored: Reward Repair's QP search is
+              deterministic and has no starts.  Protocol-1 clients send
+              it, so the field stays on the wire. *)
     }
   | Pipeline_req of {
       states : int;

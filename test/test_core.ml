@@ -257,6 +257,118 @@ let test_reward_repair_validation () =
   expect_invalid "no constraints" (fun () ->
       RR.repair_q m ~theta:[| 0.0; 0.0; 0.0 |] ~constraints:[])
 
+(* The NLP formulation Reward Repair used before its QP search, kept as
+   a reference: Nelder-Mead multistart over Δθ in the ±2 box, every
+   constraint evaluated by a full [Value.solve] and asked for
+   margin + 1e-6.  [Ok cost] of the feasible point it found, or
+   [Error v]: the least worst-constraint violation it saw. *)
+let nlp_reward_repair ~gamma ~starts m ~theta ~constraints =
+  let kern = Value.compile m in
+  let gap th (c : RR.q_constraint) =
+    let rewards = Irl.reward_vector m th in
+    let v = Value.solve ~gamma kern ~rewards in
+    let q a = Value.q_slot ~gamma kern ~rewards v c.state (Value.slot kern c.state a) in
+    q c.better -. q c.worse
+  in
+  let k = Array.length theta in
+  let plus dx = Array.mapi (fun i v -> v +. dx.(i)) theta in
+  let problem =
+    Nlp.problem ~dim:k
+      ~objective:(fun dx -> Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 dx)
+      ~inequalities:
+        (List.mapi
+           (fun i (c : RR.q_constraint) ->
+              ( Printf.sprintf "q_constraint_%d" i,
+                fun dx -> c.margin +. 1e-6 -. gap (plus dx) c ))
+           constraints)
+      ~lower:(Array.make k (-2.0)) ~upper:(Array.make k 2.0) ()
+  in
+  match Nlp.solve ~starts ~seed:0 problem with
+  | Nlp.Feasible s -> Ok s.Nlp.objective_value
+  | Nlp.Infeasible s -> Error s.Nlp.max_violation
+
+let rr_constraint = { RR.state = 0; better = "safe"; worse = "risky"; margin = 1e-4 }
+
+(* On the car and on [rr_mdp] from random θ₀ and γ, the QP's cost never
+   exceeds what the NLP reaches (the NLP may stop up to ~1e-9 short of
+   its own interior margin, hence the relative slack), and a repair
+   always verifies. *)
+let prop_qp_vs_nlp =
+  let gen =
+    QCheck2.Gen.(
+      triple bool
+        (array_size (return 3) (float_range (-1.0) 1.0))
+        (float_range 0.85 0.95))
+  in
+  let print (car, theta, gamma) =
+    Printf.sprintf "%s theta=[%s] gamma=%h"
+      (if car then "car" else "rr_mdp")
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") theta)))
+      gamma
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2018 |])
+    (QCheck2.Test.make ~name:"QP cost <= NLP cost, repaired => verified"
+       ~count:24 ~print gen (fun (car, theta, gamma) ->
+           let m, c =
+             if car then (Car.mdp (), Car.unsafe_q_constraint)
+             else (rr_mdp (), rr_constraint)
+           in
+           match RR.repair_q ~gamma m ~theta ~constraints:[ c ] with
+           | RR.Already_satisfied -> true
+           | qp -> (
+               (match qp with RR.Repaired r -> r.RR.verified | _ -> true)
+               &&
+               match
+                 (nlp_reward_repair ~gamma ~starts:8 m ~theta ~constraints:[ c ], qp)
+               with
+               | Error _, _ -> true
+               | Ok nlp_cost, RR.Repaired r ->
+                 r.RR.cost <= nlp_cost *. (1.0 +. 1e-7)
+               | Ok _, _ -> false)))
+
+let test_reward_repair_unreachable () =
+  let m = Car.mdp () in
+  let c = { Car.unsafe_q_constraint with RR.margin = 100.0 } in
+  match RR.repair_q ~gamma:0.9 m ~theta:Car.paper_learned_theta ~constraints:[ c ] with
+  | RR.Infeasible { min_violation } ->
+    Alcotest.(check bool) "positive least violation" true (min_violation > 0.0);
+    (match
+       nlp_reward_repair ~gamma:0.9 ~starts:8 m ~theta:Car.paper_learned_theta
+         ~constraints:[ c ]
+     with
+     | Error v ->
+       Alcotest.(check bool) "no worse than the NLP's least violation" true
+         (min_violation <= v *. (1.0 +. 1e-7))
+     | Ok _ -> Alcotest.fail "the NLP met a margin of 100?")
+  | _ -> Alcotest.fail "a margin of 100 is out of reach"
+
+(* Two constraints at once: S1 must prefer left over fwd, and S6 fwd over
+   right (back into the van's lane).  One repair meets both. *)
+let test_reward_repair_two_constraints () =
+  let m = Car.mdp () in
+  let c1 = Car.unsafe_q_constraint in
+  let c2 = { RR.state = 6; better = "fwd"; worse = "right"; margin = 1e-4 } in
+  match
+    RR.repair_q ~gamma:0.9 m ~theta:Car.paper_learned_theta ~constraints:[ c1; c2 ]
+  with
+  | RR.Repaired r ->
+    Alcotest.(check bool) "verified" true r.RR.verified;
+    List.iter
+      (fun (c, g) ->
+         Alcotest.(check bool) "gap >= margin" true (g >= c.RR.margin))
+      r.RR.q_gaps;
+    Alcotest.(check string) "S1 goes left" "left" r.RR.policy.(1);
+    (match
+       nlp_reward_repair ~gamma:0.9 ~starts:8 m ~theta:Car.paper_learned_theta
+         ~constraints:[ c1; c2 ]
+     with
+     | Ok nlp_cost ->
+       Alcotest.(check bool) "cost <= NLP cost" true
+         (r.RR.cost <= nlp_cost *. (1.0 +. 1e-7))
+     | Error _ -> ())
+  | RR.Already_satisfied -> Alcotest.fail "S1 prefers fwd under the paper's theta"
+  | RR.Infeasible _ -> Alcotest.fail "should be feasible"
+
 let test_projection_weights () =
   let m = rr_mdp () in
   let theta = [| 0.5; 0.1; 1.0 |] in
@@ -417,6 +529,9 @@ let () =
         [ Alcotest.test_case "q-constraint repair" `Quick test_reward_repair_q;
           Alcotest.test_case "already satisfied" `Quick test_reward_repair_already;
           Alcotest.test_case "validation" `Quick test_reward_repair_validation;
+          prop_qp_vs_nlp;
+          Alcotest.test_case "unreachable margin" `Quick test_reward_repair_unreachable;
+          Alcotest.test_case "two constraints" `Quick test_reward_repair_two_constraints;
           Alcotest.test_case "projection weights (Prop. 4)" `Quick test_projection_weights;
           Alcotest.test_case "projection repair" `Quick test_projection_repair_flips_reward;
           Alcotest.test_case "policy_satisfies" `Quick test_policy_satisfies;

@@ -332,7 +332,7 @@ let test_reward_repair_identical () =
   check_served_identical ~repeats:2 "car reward repair job"
     (Job.Reward_repair
        { mdp = Car.mdp (); theta = Car.paper_learned_theta;
-         constraints = [ Car.unsafe_q_constraint ]; gamma = 0.9; starts = 4 })
+         constraints = [ Car.unsafe_q_constraint ]; gamma = 0.9 })
 
 (* ------------------------------- chaos -------------------------------- *)
 

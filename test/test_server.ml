@@ -987,6 +987,66 @@ let test_memo_resubmit_skips_decode () =
   Alcotest.(check int) "resubmits are not decoded" 0
     (Metrics.counter_value job_decodes - decodes0)
 
+(* A settled entry keeps only its rendered reply: after the first wait
+   has rendered it (and dropped the outcome), a poll, another wait and a
+   resubmit-then-wait all serve the same bytes, equal to a direct run's
+   report. *)
+let test_settled_reply_after_drop () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let jr =
+    Wire.Reward_repair_req
+      {
+        mdp = Mdp_io.to_string (Car.mdp ());
+        theta = Array.to_list Car.paper_learned_theta;
+        constraints = [ (1, "left", "fwd", 1e-4) ];
+        gamma = 0.9;
+        starts = 1;
+      }
+  in
+  let report = function
+    | Wire.Job_done r -> r
+    | _ -> Alcotest.fail "expected a finished job"
+  in
+  let digest, _ = expect_accepted "first" (router_submit router jr) in
+  let first = report (router_wait router digest) in
+  Alcotest.(check string) "the direct run's report"
+    (Format.asprintf "%a" Job.pp_outcome (Job.run (Wire.job_of_request jr)))
+    first;
+  (match Router.handle router ~client:1 (Wire.Poll digest) with
+   | Wire.Status { state; _ } -> Alcotest.(check string) "poll" first (report state)
+   | _ -> Alcotest.fail "poll answers a Status");
+  Alcotest.(check string) "wait" first (report (router_wait router digest));
+  let digest', cached = expect_accepted "resubmit" (router_submit router jr) in
+  Alcotest.(check string) "same digest" digest digest';
+  Alcotest.(check bool) "answered cached" true cached;
+  Alcotest.(check string) "resubmit, then wait" first (report (router_wait router digest'));
+  (match Router.handle router ~client:1 (Wire.Cancel digest) with
+   | Wire.Cancelled { cancelled; _ } ->
+     Alcotest.(check bool) "a settled job is not cancelled" false cancelled
+   | _ -> Alcotest.fail "cancel answers Cancelled");
+  Alcotest.(check int) "nothing pending" 0 (Router.pending_jobs router);
+  Alcotest.(check bool) "a wait on it is fast" true
+    (Router.classify router (Wire.Wait (digest, None)) = `Fast)
+
+(* The decode memo evicts the least recently used payload: a key touched
+   every 64 submits outlives 512 distinct ones (a wholesale reset at the
+   cap would drop it). *)
+let test_memo_hot_key_survives () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let hot = check_req 0.5 in
+  let submit what jr = fst (expect_accepted what (router_submit router jr)) in
+  ignore (router_wait router (submit "hot" hot) : Wire.job_state);
+  for i = 1 to 512 do
+    ignore (submit "distinct" (check_req (0.6 +. (float_of_int i *. 1e-4))) : string);
+    if i mod 64 = 32 then ignore (submit "hot again" hot : string)
+  done;
+  let decodes0 = Metrics.counter_value job_decodes in
+  ignore (submit "hot, last" hot : string);
+  Alcotest.(check int) "the hot key is still memoised" 0
+    (Metrics.counter_value job_decodes - decodes0)
+
 (* The memo keeps (kind, digest), not the parsed job: 600 distinct Data
    Repair submits (more than the memo's 512 entries) grow the router by
    little more than their job-table entries.  Each request carries its
@@ -1272,6 +1332,10 @@ let () =
           Alcotest.test_case "resubmit skips decode" `Quick
             test_memo_resubmit_skips_decode;
           Alcotest.test_case "memory bounded" `Quick test_memo_memory_bounded;
+          Alcotest.test_case "settled reply after the outcome drop" `Quick
+            test_settled_reply_after_drop;
+          Alcotest.test_case "hot key survives 512 submits" `Quick
+            test_memo_hot_key_survives;
         ] );
       ( "wake pipe",
         [
