@@ -426,8 +426,7 @@ type runtime_report = {
   cores : int;
   runs : runtime_run list;
   speedup : float;  (** naive sequential / cached runtime, 1 worker *)
-  report_cache : Lru_cache.counters option;
-  elim_cache : Lru_cache.counters option;
+  elim_cache : Lru_cache.counters;
 }
 
 let runtime_scaling () =
@@ -451,11 +450,10 @@ let runtime_scaling () =
         let cold, t_cold = timed (fun () -> batch rt) in
         let warm, t_warm = timed (fun () -> batch rt) in
         ((cold = reference && warm = reference, t_cold, t_warm),
-         (Runtime.report_cache_counters rt, Runtime.elim_cache_counters rt)))
+         Runtime.elim_cache_counters rt))
   in
-  let (ok1, t1_cold, t1_warm), caches = with_workers 1 in
+  let (ok1, t1_cold, t1_warm), elim_cache = with_workers 1 in
   let (ok4, t4_cold, t4_warm), _ = with_workers 4 in
-  let report_cache, elim_cache = caches in
   let runs =
     [ { rname = "naive sequential (no cache)"; workers = 1; seconds = t_naive;
         identical = true };
@@ -474,7 +472,6 @@ let runtime_scaling () =
       cores = Domain.recommended_domain_count ();
       runs;
       speedup = t_naive /. t1_cold;
-      report_cache;
       elim_cache;
     }
   in
@@ -486,13 +483,9 @@ let runtime_scaling () =
        Format.printf "  %-45s %8.3f s  %s@\n" r.rname r.seconds
          (if r.identical then "" else "(MISMATCH vs sequential)"))
     runs;
-  Format.printf "  elimination coalescing + report cache: %.2fx vs naive@\n"
-    report.speedup;
-  (match elim_cache with
-   | Some c ->
-     Format.printf "  elimination cache: %d hit(s), %d miss(es)@\n" c.Lru_cache.hits
-       c.Lru_cache.misses
-   | None -> ());
+  Format.printf "  elimination coalescing: %.2fx vs naive@\n" report.speedup;
+  Format.printf "  elimination cache: %d hit(s), %d miss(es)@\n"
+    elim_cache.Lru_cache.hits elim_cache.Lru_cache.misses;
   Format.print_flush ();
   report
 
@@ -1618,14 +1611,12 @@ let bench_rows_json rows =
 
 let write_results path rows runtime kernel breakdown server el fleet region
     detect =
-  let cache label = function
-    | None -> []
-    | Some c ->
-      [ ( label,
-          Json.Obj
-            [ ("hits", int c.Lru_cache.hits);
-              ("misses", int c.Lru_cache.misses);
-              ("evictions", int c.Lru_cache.evictions) ] ) ]
+  let cache label c =
+    [ ( label,
+        Json.Obj
+          [ ("hits", int c.Lru_cache.hits);
+            ("misses", int c.Lru_cache.misses);
+            ("evictions", int c.Lru_cache.evictions) ] ) ]
   in
   let runtime_json =
     Json.Obj
@@ -1642,7 +1633,6 @@ let write_results path rows runtime kernel breakdown server el fleet region
                        ("seconds", num r.seconds);
                        ("identical", Json.Bool r.identical) ])
                 runtime.runs) ) ]
-       @ cache "report_cache" runtime.report_cache
        @ cache "elim_cache" runtime.elim_cache)
   in
   let rung r =

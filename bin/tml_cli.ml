@@ -618,13 +618,9 @@ let workers_arg =
   let doc = "Worker domains in the pool." in
   Arg.(value & opt int 1 & info [ "w"; "workers" ] ~docv:"K" ~doc)
 
-let repeat_arg =
-  let doc = "Run the batch this many times (repeats hit the report cache)." in
-  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc)
-
 let stats_arg =
   let doc = "Write the runtime's JSON stats dump to this file ('-' for \
-             stdout) after the last batch." in
+             stdout) after the batch." in
   Arg.(value & opt (some string) None & info [ "stats" ] ~docv:"FILE" ~doc)
 
 let retries_arg =
@@ -696,7 +692,7 @@ let inject_fault_arg =
   in
   Arg.(value & opt_all string [] & info [ "inject-fault" ] ~docv:"SPEC" ~doc)
 
-let run_batch_cmd suite jobs workers repeat stats retries retry_backoff_ms
+let run_batch_cmd suite jobs workers stats retries retry_backoff_ms
     fault_specs trace_out metrics_out seed backend grid =
   exit_of_result
     (if jobs < 1 then Error "need at least one job"
@@ -730,25 +726,22 @@ let run_batch_cmd suite jobs workers repeat stats retries retry_backoff_ms
        try
          Runtime.with_runtime ~workers (fun rt ->
            let all_ok = ref true in
-           for round = 1 to max 1 repeat do
-             if repeat > 1 then Printf.printf "-- round %d --\n" round;
-             let outcomes = Runtime.run_batch rt ?retry job_list in
-             List.iteri
-               (fun i (job, outcome) ->
-                  Printf.printf "== job %d (%s) ==\n" (i + 1) (Job.kind job);
-                  match outcome with
-                  | Future.Value o -> Format.printf "%a@?" Job.pp_outcome o
-                  | Future.Failed e ->
-                    all_ok := false;
-                    Printf.printf "FAILED: %s\n" (Printexc.to_string e)
-                  | Future.Cancelled ->
-                    all_ok := false;
-                    Printf.printf "CANCELLED\n"
-                  | Future.Timed_out ->
-                    all_ok := false;
-                    Printf.printf "TIMED OUT\n")
-               (List.combine job_list outcomes)
-           done;
+           let outcomes = Runtime.run_batch rt ?retry job_list in
+           List.iteri
+             (fun i (job, outcome) ->
+                Printf.printf "== job %d (%s) ==\n" (i + 1) (Job.kind job);
+                match outcome with
+                | Future.Value o -> Format.printf "%a@?" Job.pp_outcome o
+                | Future.Failed e ->
+                  all_ok := false;
+                  Printf.printf "FAILED: %s\n" (Printexc.to_string e)
+                | Future.Cancelled ->
+                  all_ok := false;
+                  Printf.printf "CANCELLED\n"
+                | Future.Timed_out ->
+                  all_ok := false;
+                  Printf.printf "TIMED OUT\n")
+             (List.combine job_list outcomes);
            Option.iter
              (fun path -> write_text path (Json.render (Runtime.stats_json rt) ^ "\n"))
              stats;
@@ -763,15 +756,14 @@ let batch_cmd =
       `S Manpage.s_description;
       `P "Submits a deterministic suite of repair jobs to the worker-pool \
           runtime and prints each job's report in submission order. Results \
-          are byte-identical for any worker count; repeated rounds are \
-          served from the report cache.";
+          are byte-identical for any worker count; jobs with equal digests \
+          run once.";
     ]
   in
   Cmd.v
     (Cmd.info "batch" ~doc ~man)
     Term.(
-      const run_batch_cmd $ suite_arg $ jobs_arg $ workers_arg $ repeat_arg
-      $ stats_arg $ retries_arg $ retry_backoff_arg $ inject_fault_arg
+      const run_batch_cmd $ suite_arg $ jobs_arg $ workers_arg $ stats_arg $ retries_arg $ retry_backoff_arg $ inject_fault_arg
       $ trace_out_arg $ metrics_out_arg $ seed_arg $ backend_arg $ grid_arg)
 
 (* -------------------------------- trace ------------------------------- *)
@@ -1392,8 +1384,8 @@ let client_cmd =
       `P "Connects to a $(b,tml serve) instance, submits one job (or \
           pings, polls, waits, cancels, or dumps server stats) and prints \
           the job's report. Submitting returns a job digest; identical \
-          jobs share one digest and are served from the server's report \
-          cache.";
+          jobs share one digest and are served from the server's job \
+          table.";
     ]
   in
   Cmd.v

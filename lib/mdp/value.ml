@@ -197,12 +197,6 @@ let q_table ~gamma k rewards v =
            let j = k.act_off.(s) + i in
            (k.act_name.(j), q_unsafe ~gamma k rewards v s j)))
 
-let q_from_values ~gamma m v =
-  check_gamma gamma;
-  let k = compile m in
-  check_values k v;
-  q_table ~gamma k (rewards_of m) v
-
 let q_values ?max_iter ?tol ~gamma m =
   check_gamma gamma;
   let k = compile m and rewards = rewards_of m in
@@ -225,26 +219,3 @@ let optimal_policy ?max_iter ?tol ~gamma m =
   let k = compile m and rewards = rewards_of m in
   let v = solve ?max_iter ?tol ~gamma k ~rewards in
   (greedy_policy m (q_table ~gamma k rewards v), v)
-
-let evaluate ?(max_iter = 100_000) ?(tol = 1e-10) ~gamma k rewards m pi =
-  (match Mdp.validate_policy m pi with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Value.policy_evaluation: " ^ msg));
-  let chosen = Array.mapi (slot k) pi in
-  sweep ~max_iter ~tol ~gamma k rewards chosen (Array.map succ chosen)
-
-let policy_evaluation ?max_iter ?tol ~gamma m pi =
-  check_gamma gamma;
-  evaluate ?max_iter ?tol ~gamma (compile m) (rewards_of m) m pi
-
-let policy_iteration ?max_iter ?tol ~gamma m =
-  check_gamma gamma;
-  let k = compile m and rewards = rewards_of m in
-  (* start from the name-first policy (deterministic) *)
-  let pi0 = Array.init k.n (fun s -> k.act_name.(k.act_off.(s))) in
-  let rec improve pi rounds =
-    let v = evaluate ?max_iter ?tol ~gamma k rewards m pi in
-    let pi' = greedy_policy m (q_table ~gamma k rewards v) in
-    if pi' = pi then (pi, v, rounds) else improve pi' (rounds + 1)
-  in
-  improve pi0 0

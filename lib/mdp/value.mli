@@ -1,5 +1,5 @@
 (** Dynamic programming over MDPs: value iteration, Q-values, greedy policy
-    extraction, and policy evaluation.
+    extraction, and exact evaluation of a fixed policy ({!policy_q}).
 
     The per-step reward of taking action [a] in state [s] is
     [Mdp.state_reward s + a.reward].
@@ -20,11 +20,9 @@ val value_iteration :
     reach absorbing states.
     @raise Invalid_argument on a gamma outside (0, 1]. *)
 
-val q_from_values : gamma:float -> Mdp.t -> float array -> q_table
-
 val q_values :
   ?max_iter:int -> ?tol:float -> gamma:float -> Mdp.t -> q_table
-(** Convenience: value iteration followed by {!q_from_values}. *)
+(** Value iteration, then the Q-value of every action under its values. *)
 
 val greedy_policy : Mdp.t -> q_table -> Mdp.policy
 (** Ties broken toward the lexicographically first action name (actions are
@@ -32,17 +30,6 @@ val greedy_policy : Mdp.t -> q_table -> Mdp.policy
 
 val optimal_policy :
   ?max_iter:int -> ?tol:float -> gamma:float -> Mdp.t -> Mdp.policy * float array
-
-val policy_evaluation :
-  ?max_iter:int -> ?tol:float -> gamma:float -> Mdp.t -> Mdp.policy -> float array
-(** Value of a fixed policy. *)
-
-val policy_iteration :
-  ?max_iter:int -> ?tol:float -> gamma:float -> Mdp.t -> Mdp.policy * float array * int
-(** Howard's policy iteration: evaluate, then greedy-improve, until the
-    policy is stable. Returns (policy, values, improvement rounds);
-    produces the same optimum as {!optimal_policy} (property-tested) and
-    usually in far fewer sweeps on small MDPs. *)
 
 (** {1 Compiled kernel}
 

@@ -35,7 +35,7 @@ type t = {
   id : int;  (** unique within the process, allocated from an atomic *)
   parent : int option;  (** enclosing span, if any *)
   name : string;  (** span name, e.g. ["stage:eliminate"] *)
-  job : string option;  (** job correlation id (report-cache digest prefix) *)
+  job : string option;  (** job correlation id (job digest prefix) *)
   domain : int;  (** id of the domain the span ran on *)
   wall_s : float;  (** absolute start time, [Unix.gettimeofday] *)
   rel_s : float;  (** start time relative to {!enable} (merge/sort key) *)

@@ -6,9 +6,10 @@
     any worker domain and its result cached.
 
     Jobs are pure: running the same job twice yields the same outcome
-    (repair solvers are seeded and deterministic), which is what makes the
-    report cache sound and parallel batches byte-identical to sequential
-    execution. *)
+    (repair solvers are seeded and deterministic), which is what makes a
+    digest a content address — a server may answer a repeat submit with
+    the report it already holds — and parallel batches byte-identical to
+    sequential execution. *)
 
 type t =
   | Check of { model : Dtmc.t; phi : Pctl.state_formula }

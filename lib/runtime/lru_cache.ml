@@ -129,20 +129,6 @@ let rec find_or_compute t ~key thunk =
             Condition.broadcast t.landed);
         raise e)
 
-let find t key =
-  let found =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some (Done d) ->
-          t.clock <- t.clock + 1;
-          d.tick <- t.clock;
-          t.hits <- t.hits + 1;
-          Some d.value
-        | Some In_flight | None -> None)
-  in
-  if Option.is_some found then Option.iter Metrics.incr t.hit_counter;
-  found
-
 let counters t =
   locked t (fun () ->
       {
@@ -152,12 +138,3 @@ let counters t =
         size = completed_size t;
         capacity = t.capacity;
       })
-
-let clear t =
-  locked t (fun () ->
-      let keys =
-        Hashtbl.fold
-          (fun k e acc -> match e with Done _ -> k :: acc | In_flight -> acc)
-          t.table []
-      in
-      List.iter (Hashtbl.remove t.table) keys)

@@ -34,13 +34,4 @@ val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
 (** If the thunk raises, the exception propagates to its caller; coalesced
     waiters retry (one of them becomes the new computer). *)
 
-val find : 'a t -> string -> 'a option
-(** Non-blocking probe of {e completed} entries: a present value counts as
-    a hit; [None] (absent or still in flight) records nothing, so a probe
-    followed by {!find_or_compute} counts the miss exactly once. *)
-
 val counters : 'a t -> counters
-
-val clear : 'a t -> unit
-(** Drop all completed entries (counters are kept; in-flight computations
-    are unaffected and will land in the emptied cache). *)

@@ -1,11 +1,14 @@
-(** The concurrent repair-job engine: queue → worker pool → caches → stats.
+(** The concurrent repair-job engine: queue → worker pool → stats.
 
-    A runtime owns a domain worker {!Pool}, a memoizing report cache keyed
-    by {!Job.digest}, an elimination cache installed into
-    {!Pquery.set_memo} (so repeated parametric queries on structurally
-    identical chains skip state elimination and arena compilation
-    entirely, across {e all} repair entry points), and a {!Runtime_stats} collector that reads stage
-    totals from the {!Instr} probes' histograms.
+    A runtime owns a domain worker {!Pool}, an elimination cache installed
+    into {!Pquery.set_memo} (so repeated parametric queries on
+    structurally identical chains skip state elimination and arena
+    compilation entirely, across {e all} repair entry points; it keeps
+    the 64 most recently used queries), and a {!Runtime_stats} collector
+    that reads stage totals from the {!Instr} probes' histograms.  It
+    keeps no finished reports: a server's {!Router} answers repeat
+    submits from its own job table, and {!run_batch} runs each distinct
+    digest once.
 
     The elimination memo, fault observer and parallel runner are
     process-global hooks; the most recently created runtime owns them, and {!shutdown} uninstalls
@@ -18,23 +21,15 @@
     When {!Trace_span} tracing is enabled, {!submit} emits a [job:submit]
     event on the calling domain and runs the job body inside a [job:run]
     span parented to it, so cross-domain traces reconstruct the full
-    submit→dequeue→run tree; report-cache short-circuits emit
-    [job:cache-hit] instead. *)
+    submit→dequeue→run tree. *)
 
 type t
-(** A live runtime.  Owns its pool and caches until {!shutdown}. *)
+(** A live runtime.  Owns its pool and elimination cache until
+    {!shutdown}. *)
 
-val create :
-  ?workers:int ->
-  ?queue_capacity:int ->
-  ?report_cache_capacity:int ->
-  ?elim_cache_capacity:int ->
-  unit ->
-  t
+val create : ?workers:int -> ?queue_capacity:int -> unit -> t
 (** [workers] defaults to [Domain.recommended_domain_count () - 1], at
-    least 1.  [report_cache_capacity] (default 256) and
-    [elim_cache_capacity] (default 512) bound the two LRU caches; [0]
-    disables the corresponding cache. *)
+    least 1; [queue_capacity] (default 64) bounds the pool's queue. *)
 
 val workers : t -> int
 (** The pool's worker-domain count. *)
@@ -49,9 +44,7 @@ val submit :
   ?retry:Retry.t ->
   Job.t ->
   Job.outcome Future.t
-(** Submit a job.  On a report-cache hit the returned future is already
-    resolved and the pool is never touched; otherwise the job is enqueued
-    ({!Pool.submit} semantics, including [timeout_s]).
+(** Enqueue a job ({!Pool.submit} semantics, including [timeout_s]).
 
     [on_full] picks the saturated-queue policy.  The default [`Shed]
     never blocks: when the bounded queue is full the returned future is
@@ -62,9 +55,7 @@ val submit :
 
     With [retry], transient failures ({!Tml_error.classify}) are re-run on
     the worker with capped, jittered, deterministic exponential backoff;
-    permanent failures and expired deadlines fail the future immediately.
-    Each re-run re-enters the report cache, so a retry that lost a cache
-    race simply coalesces on the winner. *)
+    permanent failures and expired deadlines fail the future immediately. *)
 
 val run_batch :
   t ->
@@ -72,34 +63,25 @@ val run_batch :
   ?retry:Retry.t ->
   Job.t list ->
   Job.outcome Future.outcome list
-(** Submit every job, then await them all; results are in submission
-    order regardless of completion order.  A batch racing {!shutdown}
-    never raises: late submissions resolve [Cancelled]. *)
+(** Submit every distinct job once (jobs with equal {!Job.digest}s share
+    one run), then await them all; results are in submission order
+    regardless of completion order.  A batch racing {!shutdown} never
+    raises: late submissions resolve [Cancelled]. *)
 
 val stats : t -> Runtime_stats.snapshot
 (** A consistent snapshot of this runtime's counters and stage totals. *)
 
-val report_cache_counters : t -> Lru_cache.counters option
-(** Hit/miss/eviction counters of the report cache; [None] if disabled. *)
-
-val elim_cache_counters : t -> Lru_cache.counters option
-(** Hit/miss/eviction counters of the elimination cache; [None] if
-    disabled. *)
+val elim_cache_counters : t -> Lru_cache.counters
+(** Hit/miss/eviction counters of the elimination cache. *)
 
 val stats_json : t -> Json.t
 (** The full instrumentation dump: job counters, retry/respawn/fault
-    counters, queue high-water mark, per-stage wall-clock totals, cache
-    hit rates. *)
+    counters, queue high-water mark, per-stage wall-clock totals, the
+    elimination cache's hit rate. *)
 
 val shutdown : ?drain:bool -> t -> unit
 (** Shut the pool down ({!Pool.shutdown}) and uninstall the global
     elimination memo, fault observer and parallel runner.  Idempotent. *)
 
-val with_runtime :
-  ?workers:int ->
-  ?queue_capacity:int ->
-  ?report_cache_capacity:int ->
-  ?elim_cache_capacity:int ->
-  (t -> 'a) ->
-  'a
+val with_runtime : ?workers:int -> ?queue_capacity:int -> (t -> 'a) -> 'a
 (** [create], run the function, always [shutdown]. *)

@@ -9,7 +9,6 @@ type snapshot = {
   retried : int;
   respawned : int;
   faults_injected : int;
-  report_cache_hits : int;
   max_queue_depth : int;
   stages : (string * stage_totals) list;
 }
@@ -22,8 +21,7 @@ type counter =
   | `Timed_out
   | `Retried
   | `Respawned
-  | `Fault_injected
-  | `Report_hit ]
+  | `Fault_injected ]
 
 type t = {
   mutex : Mutex.t;
@@ -35,7 +33,6 @@ type t = {
   mutable retried : int;
   mutable respawned : int;
   mutable faults_injected : int;
-  mutable report_cache_hits : int;
   mutable max_queue_depth : int;
   stage_base : (Instr.stage * stage_totals) list;
       (* each stage histogram's (count, sum) when the runtime started *)
@@ -54,11 +51,7 @@ let metric =
   and timed_out = mk "tml_jobs_timed_out_total" "Jobs timed out"
   and retried = mk "tml_retries_total" "Transient-failure re-runs"
   and respawned = mk "tml_worker_respawns_total" "Worker domains respawned"
-  and faults = mk "tml_faults_injected_total" "Chaos faults fired"
-  and report_hit =
-    mk "tml_report_cache_short_circuits_total"
-      "Jobs answered from the report cache at submit"
-  in
+  and faults = mk "tml_faults_injected_total" "Chaos faults fired" in
   function
   | `Submitted -> submitted
   | `Completed -> completed
@@ -68,7 +61,6 @@ let metric =
   | `Retried -> retried
   | `Respawned -> respawned
   | `Fault_injected -> faults
-  | `Report_hit -> report_hit
 
 let queue_depth_gauge =
   Metrics.gauge "tml_queue_depth" ~help:"Pool queue depth at last enqueue"
@@ -94,7 +86,6 @@ let create () =
     retried = 0;
     respawned = 0;
     faults_injected = 0;
-    report_cache_hits = 0;
     max_queue_depth = 0;
     stage_base = List.map (fun s -> (s, stage_now s)) all_stages;
   }
@@ -114,8 +105,7 @@ let incr t which =
       | `Timed_out -> t.timed_out <- t.timed_out + 1
       | `Retried -> t.retried <- t.retried + 1
       | `Respawned -> t.respawned <- t.respawned + 1
-      | `Fault_injected -> t.faults_injected <- t.faults_injected + 1
-      | `Report_hit -> t.report_cache_hits <- t.report_cache_hits + 1)
+      | `Fault_injected -> t.faults_injected <- t.faults_injected + 1)
 
 let observe_queue_depth t depth =
   let d = float_of_int depth in
@@ -135,7 +125,6 @@ let snapshot t =
         retried = t.retried;
         respawned = t.respawned;
         faults_injected = t.faults_injected;
-        report_cache_hits = t.report_cache_hits;
         max_queue_depth = t.max_queue_depth;
         stages =
           List.map
@@ -164,14 +153,9 @@ let json_cache (c : Lru_cache.counters) =
       ("capacity", int c.Lru_cache.capacity);
       ("hit_rate", Json.Num rate) ]
 
-let to_json ~workers ?report_cache ?elim_cache t =
+let to_json ~workers ~elim_cache t =
   let s = snapshot t in
   let int n = Json.Num (float_of_int n) in
-  let caches =
-    List.filter_map
-      (fun (name, c) -> Option.map (fun c -> (name, json_cache c)) c)
-      [ ("report", report_cache); ("elimination", elim_cache) ]
-  in
   Json.Obj
     [ ( "jobs",
         Json.Obj
@@ -179,8 +163,7 @@ let to_json ~workers ?report_cache ?elim_cache t =
             ("completed", int s.completed);
             ("failed", int s.failed);
             ("cancelled", int s.cancelled);
-            ("timed_out", int s.timed_out);
-            ("report_cache_hits", int s.report_cache_hits) ] );
+            ("timed_out", int s.timed_out) ] );
       ( "resilience",
         Json.Obj
           [ ("retried", int s.retried);
@@ -188,7 +171,7 @@ let to_json ~workers ?report_cache ?elim_cache t =
             ("faults_injected", int s.faults_injected) ] );
       ("queue", Json.Obj [ ("max_depth", int s.max_queue_depth) ]);
       ("workers", int workers);
-      ("caches", Json.Obj caches);
+      ("caches", Json.Obj [ ("elimination", json_cache elim_cache) ]);
       ( "stages",
         Json.Obj
           (List.map

@@ -2,7 +2,7 @@
 
     Collects job counts and the queue-depth high-water mark, reports
     per-stage wall-clock totals, and builds everything — together with
-    the cache counters — into one {!Json.t} stats object.
+    the elimination cache's counters — into one {!Json.t} stats object.
 
     Every per-runtime counter is also mirrored into the process-wide
     {!Metrics} registry under a stable Prometheus name
@@ -28,8 +28,6 @@ type snapshot = {
   retried : int;  (** transient-failure re-runs performed by the retry layer *)
   respawned : int;  (** worker domains respawned after a crash *)
   faults_injected : int;  (** faults fired by an installed {!Fault} plan *)
-  report_cache_hits : int;
-      (** jobs answered from the report cache without touching the pool *)
   max_queue_depth : int;
   stages : (string * stage_totals) list;
       (** keyed by {!Instr.stage_name}: learn / eliminate / solve / check *)
@@ -43,8 +41,7 @@ type counter =
   | `Timed_out
   | `Retried
   | `Respawned
-  | `Fault_injected
-  | `Report_hit ]
+  | `Fault_injected ]
 (** The events a runtime counts; one snapshot field each. *)
 
 val create : unit -> t
@@ -61,12 +58,7 @@ val observe_queue_depth : t -> int -> unit
 val snapshot : t -> snapshot
 (** A consistent copy of every counter and stage total. *)
 
-val to_json :
-  workers:int ->
-  ?report_cache:Lru_cache.counters ->
-  ?elim_cache:Lru_cache.counters ->
-  t ->
-  Json.t
+val to_json : workers:int -> elim_cache:Lru_cache.counters -> t -> Json.t
 (** One JSON object: [jobs], [resilience] and [queue] counters,
-    [workers], [caches.{report,elimination}] (when supplied, with their
-    [hit_rate]) and [stages.<name>.{count,total_s}]. *)
+    [workers], [caches.elimination] (with its [hit_rate]) and
+    [stages.<name>.{count,total_s}]. *)

@@ -76,7 +76,7 @@ val ping : t -> unit
 
 val submit : t -> Wire.job_request -> string * bool
 (** [(digest, cached)] — the job id to poll/wait on, and whether the
-    result was already served from the report cache. *)
+    server already held its finished report. *)
 
 val poll : t -> string -> Wire.job_state
 (** Non-blocking status of a submitted job. *)

@@ -285,10 +285,12 @@ let register_foreign t digest =
         Hashtbl.replace t.jobs digest e;
         e)
 
-(* First completed observation of a digest: the payload kept for
-   resubmission can never be needed again, so drop it, and enqueue the
-   digest for FIFO eviction past [max_completed] — the registry stays
-   bounded instead of growing with every job the coordinator has ever
+(* First completed observation of a digest: a client has seen the job
+   settle, so drop the payload kept for resubmission (a backend that
+   later evicts the digest from its bounded job table answers not-found,
+   which reaches the client, who resubmits), and enqueue the digest for
+   FIFO eviction past [max_completed] — the registry stays bounded
+   instead of growing with every job the coordinator has ever
    accepted.  Evicted digests that come back (a late poll) just take the
    [register_foreign] path and route by ring order. *)
 let mark_completed t ~digest entry =

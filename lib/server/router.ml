@@ -4,46 +4,69 @@
    re-rendering through [Format] on every read dominates the settled fast
    path — and from then on the entry keeps only that state: the outcome
    itself (a repaired model, a Q-table's policy, learned tallies) is
-   dropped, so a long-lived server's job table grows by report text, not
-   by outcomes. *)
+   dropped, so a settled entry costs its report text, not its outcome. *)
 type slot =
   | Running of Job.outcome Future.t
   | Settled of Wire.job_state  (** never [Job_pending] *)
 
-type entry = {
-  client : int;
-  mutable released : bool;
-  mutable slot : slot;
-}
+type entry = { mutable slot : slot }
 
-(* a decode-memo value: the job's kind and digest, and its last use *)
-type memo = { kind : string; job : string; mutable used : int }
+(* Two generations of a bounded map: inserts go to [young], and when it
+   holds [cap] keys it becomes [old] and the previous [old] is dropped
+   whole — eviction is O(1) amortised, with no scan.  A hit in [old]
+   moves the key back to [young], so a key read at least once per [cap]
+   inserts is never evicted.  At most [2 * cap] keys are held. *)
+module Gens = struct
+  type 'a t = {
+    cap : int;
+    mutable young : (string, 'a) Hashtbl.t;
+    mutable old : (string, 'a) Hashtbl.t;
+  }
+
+  let create cap = { cap; young = Hashtbl.create 64; old = Hashtbl.create 1 }
+
+  let add t key v =
+    Hashtbl.remove t.old key;
+    Hashtbl.replace t.young key v;
+    if Hashtbl.length t.young >= t.cap then begin
+      t.old <- t.young;
+      t.young <- Hashtbl.create 64
+    end
+
+  let find t key =
+    match Hashtbl.find_opt t.young key with
+    | Some _ as found -> found
+    | None ->
+      let found = Hashtbl.find_opt t.old key in
+      Option.iter (add t key) found;
+      found
+end
 
 type t = {
   mutex : Mutex.t;
   runtime : Runtime.t;
   admission : Admission.t;
-  jobs : (string, entry) Hashtbl.t;
-  (* entries still holding an admission ticket ([released = false]) — the
-     only ones [sweep] must look at, so a sweep per request costs a nil
-     check rather than a walk of the whole settled history *)
-  mutable live : entry list;
-  (* LRU memo of wire payload -> (job kind, digest), keyed on an MD5 of
-     the payload: resubmits of an identical request (retries, fan-in
-     clients) skip the textual model parse and the job digest — the
-     dominant per-request cost once the job itself is deduplicated.  It
-     holds neither the payload (a repair_mix request carries KBs of trace
-     text) nor a decoded job (a parsed Data Repair or Pipeline job is
-     hundreds of KB): a hit is answered from the job table, and only a
-     hit whose digest is missing there (a submit the runtime shed, now
-     retried) decodes again. *)
-  decode_memo : (Digest.t, memo) Hashtbl.t;
-  mutable memo_clock : int;
-  (* replicated reports pushed by a fleet coordinator (Put_report): a
-     bounded FIFO of digest -> rendered report, servable by poll/wait
-     even though this node never ran the job *)
-  replicas : (string, string) Hashtbl.t;
-  replica_fifo : string Queue.t;
+  (* The job table, keyed by digest.  Digests are content addresses (a
+     job is a deterministic function of its inputs), so this is the one
+     store of finished reports: a resubmit, poll or wait of a known
+     digest is answered here.  Jobs that hold an admission ticket sit in
+     [running] with the ticket's client and are never evicted; [sweep]
+     moves them to [settled] once their future settles.  [settled] also
+     takes the reports a fleet coordinator replicates to this node
+     ([Put_report]).  It is bounded, and a digest it has evicted answers
+     ["not-found"], which a client answers by resubmitting. *)
+  running : (string, int * entry) Hashtbl.t;
+  settled : entry Gens.t;
+  (* Memo of wire payload -> (job kind, digest), keyed on an MD5 of the
+     payload: resubmits of an identical request (retries, fan-in clients)
+     skip the textual model parse and the job digest — the dominant
+     per-request cost once the job itself is deduplicated.  It holds
+     neither the payload (a repair_mix request carries KBs of trace text)
+     nor a decoded job (a parsed Data Repair or Pipeline job is hundreds
+     of KB): a hit is answered from the job table, and only a hit whose
+     digest is missing there (a submit the runtime shed, now retried, or
+     an evicted report) decodes again. *)
+  decode_memo : (string * string) Gens.t;
   job_timeout_s : float option;
   retry : Retry.t option;
   mutable draining : bool;
@@ -53,8 +76,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* the replica store keeps at most this many reports, evicting FIFO *)
-let replica_cap = 256
+(* The settled half of the job table and the decode memo each keep
+   between one and two generations of this many keys. *)
+let settled_cap = 1024
+let decode_memo_cap = 512
 
 let create ?admission ?job_timeout_s ?retry runtime =
   {
@@ -62,12 +87,9 @@ let create ?admission ?job_timeout_s ?retry runtime =
     runtime;
     admission =
       (match admission with Some a -> a | None -> Admission.create ());
-    jobs = Hashtbl.create 64;
-    live = [];
-    decode_memo = Hashtbl.create 64;
-    memo_clock = 0;
-    replicas = Hashtbl.create 64;
-    replica_fifo = Queue.create ();
+    running = Hashtbl.create 64;
+    settled = Gens.create settled_cap;
+    decode_memo = Gens.create decode_memo_cap;
     job_timeout_s;
     retry;
     draining = false;
@@ -142,20 +164,23 @@ let running e =
   match e.slot with Running fut -> Future.is_pending fut | Settled _ -> false
 
 (* Admission tickets are released when the job settles.  Futures have no
-   completion callback, so every [handle] call sweeps the registry —
-   cheap (the table holds at most max_pending unreleased entries plus
-   settled history) and prompt enough, since a busy server is exactly a
-   server that calls [handle] often. *)
+   completion callback, so every [handle] call sweeps the running jobs —
+   at most max_pending of them — into the settled table: cheap, and
+   prompt enough, since a busy server is exactly a server that calls
+   [handle] often. *)
 let sweep t =
   let to_release =
     locked t (fun () ->
-        match t.live with
-        | [] -> []
-        | live ->
-          let pending, settled = List.partition running live in
-          List.iter (fun e -> e.released <- true) settled;
-          t.live <- pending;
-          List.map (fun e -> e.client) settled)
+        if Hashtbl.length t.running = 0 then []
+        else
+          Hashtbl.fold
+            (fun digest (client, e) acc ->
+               if running e then acc else (digest, client, e) :: acc)
+            t.running []
+          |> List.map (fun (digest, client, e) ->
+              Hashtbl.remove t.running digest;
+              Gens.add t.settled digest e;
+              client))
   in
   List.iter (fun client -> Admission.release t.admission ~client) to_release
 
@@ -192,23 +217,20 @@ let not_found digest =
       transient = false;
     }
 
-let find t digest = locked t (fun () -> Hashtbl.find_opt t.jobs digest)
+let find_locked t digest =
+  match Hashtbl.find_opt t.running digest with
+  | Some (_, e) -> Some e
+  | None -> Gens.find t.settled digest
 
-let find_replica t digest =
-  locked t (fun () -> Hashtbl.find_opt t.replicas digest)
+let find t digest = locked t (fun () -> find_locked t digest)
 
+(* A replicated report never replaces what this node holds for the
+   digest: a running job, or a reply it rendered itself. *)
 let put_report t ~digest ~report =
   locked t (fun () ->
-      if not (Hashtbl.mem t.replicas digest) then begin
-        Hashtbl.replace t.replicas digest report;
-        Queue.push digest t.replica_fifo;
-        while Queue.length t.replica_fifo > replica_cap do
-          Hashtbl.remove t.replicas (Queue.pop t.replica_fifo)
-        done
-      end);
+      if find_locked t digest = None then
+        Gens.add t.settled digest { slot = Settled (Wire.Job_done report) });
   Wire.Stored { job = digest }
-
-let replica_count t = locked t (fun () -> Hashtbl.length t.replicas)
 
 let not_a_coordinator () =
   Wire.Error_reply
@@ -218,39 +240,11 @@ let not_a_coordinator () =
       transient = false;
     }
 
-(* the decode memo keeps at most this many payloads, evicting the least
-   recently used *)
-let decode_memo_cap = 512
-
 let payload_key (jr : Wire.job_request) =
   Digest.string (Marshal.to_string jr [ Marshal.No_sharing ])
 
-let memo_find t key =
-  locked t (fun () ->
-      Option.map
-        (fun m ->
-           t.memo_clock <- t.memo_clock + 1;
-           m.used <- t.memo_clock;
-           (m.kind, m.job))
-        (Hashtbl.find_opt t.decode_memo key))
-
-let memo_add t key ~kind ~job =
-  locked t (fun () ->
-      if (not (Hashtbl.mem t.decode_memo key))
-         && Hashtbl.length t.decode_memo >= decode_memo_cap
-      then begin
-        let lru =
-          Hashtbl.fold
-            (fun k m acc ->
-               match acc with
-               | Some (_, used) when used <= m.used -> acc
-               | _ -> Some (k, m.used))
-            t.decode_memo None
-        in
-        Option.iter (fun (k, _) -> Hashtbl.remove t.decode_memo k) lru
-      end;
-      t.memo_clock <- t.memo_clock + 1;
-      Hashtbl.replace t.decode_memo key { kind; job; used = t.memo_clock })
+let memo_find t key = locked t (fun () -> Gens.find t.decode_memo key)
+let memo_add t key ~kind ~job = locked t (fun () -> Gens.add t.decode_memo key (kind, job))
 
 let decode_counter =
   Metrics.counter "tml_server_job_decodes_total"
@@ -265,20 +259,13 @@ let decode_job t key jr =
     memo_add t key ~kind:(Job.kind job) ~job:digest;
     Ok (job, digest)
 
-(* The answer to a submit of a digest this node already knows, if any. *)
+(* The answer to a submit of a digest this node already knows, if any:
+   a duplicate of a running job shares its future, and a settled one is
+   answered from its reply. *)
 let known_submit t digest =
-  match find_replica t digest with
-  | Some _ ->
-    (* a coordinator replicated this digest's finished report to us — no
-       need to recompute *)
-    Some (Wire.Accepted { job = digest; cached = true })
-  | None ->
-    match find t digest with
-    | Some e ->
-      (* duplicate submit: the first ticket is still tracking this job,
-         so the new one is returned immediately *)
-      Some (Wire.Accepted { job = digest; cached = not (running e) })
-    | None -> None
+  Option.map
+    (fun e -> Wire.Accepted { job = digest; cached = not (running e) })
+    (find t digest)
 
 let do_submit t ~client jr =
   if t.draining then
@@ -327,30 +314,34 @@ let do_submit t ~client jr =
                       (* the runtime's own bounded queue shed it *)
                       release ();
                       Wire.Error_reply (Wire.err_of_exn e)
-                    | peeked ->
-                      locked t (fun () ->
-                          let e = { client; released = false; slot = Running fut } in
-                          Hashtbl.replace t.jobs digest e;
-                          t.live <- e :: t.live);
-                      Wire.Accepted
-                        { job = digest; cached = peeked <> None }))))
+                    | _ ->
+                      (* a concurrent submit of the same digest may have
+                         got here first: its entry keeps the ticket, and
+                         this duplicate run is not needed *)
+                      let first =
+                        locked t (fun () ->
+                            if Hashtbl.mem t.running digest then false
+                            else begin
+                              Hashtbl.add t.running digest (client, { slot = Running fut });
+                              true
+                            end)
+                      in
+                      if not first then begin
+                        ignore (Future.cancel fut : bool);
+                        release ()
+                      end;
+                      Wire.Accepted { job = digest; cached = false }))))
 
 let do_status t digest =
   match find t digest with
-  | None ->
-    (match find_replica t digest with
-     | Some report -> Wire.Status { job = digest; state = Wire.Job_done report }
-     | None -> not_found digest)
+  | None -> not_found digest
   | Some e ->
     let state = Option.value (settled_state e) ~default:Wire.Job_pending in
     Wire.Status { job = digest; state }
 
 let do_wait t digest timeout_s =
   match find t digest with
-  | None ->
-    (match find_replica t digest with
-     | Some report -> Wire.Status { job = digest; state = Wire.Job_done report }
-     | None -> not_found digest)
+  | None -> not_found digest
   | Some e ->
     (match e.slot with
      | Running fut -> ignore (Future.await ?timeout_s fut : Job.outcome Future.outcome)
@@ -361,12 +352,7 @@ let do_wait t digest timeout_s =
 
 let do_cancel t digest =
   match find t digest with
-  | None ->
-    (match find_replica t digest with
-     | Some _ ->
-       (* a replicated report is already final — nothing to cancel *)
-       Wire.Cancelled { job = digest; cancelled = false }
-     | None -> not_found digest)
+  | None -> not_found digest
   | Some e ->
     let cancelled =
       match e.slot with Running fut -> Future.cancel fut | Settled _ -> false
@@ -382,7 +368,7 @@ let classify t = function
   | Wire.Wait (digest, _) -> (
       match find t digest with
       | Some e -> if running e then `Slow else `Fast
-      | None -> `Fast (* not-found or replica: answered immediately *))
+      | None -> `Fast (* not-found: answered immediately *))
   | _ -> `Fast
 
 let handle t ~client req =
@@ -418,9 +404,7 @@ let handle t ~client req =
 
 let pending_jobs t =
   locked t (fun () ->
-      Hashtbl.fold
-        (fun _ e n -> if running e then n + 1 else n)
-        t.jobs 0)
+      Hashtbl.fold (fun _ (_, e) n -> if running e then n + 1 else n) t.running 0)
 
 let set_draining t = t.draining <- true
 let draining t = t.draining
@@ -430,8 +414,9 @@ let drain ?timeout_s t =
   let futures =
     locked t (fun () ->
         Hashtbl.fold
-          (fun _ e acc -> match e.slot with Running fut -> fut :: acc | Settled _ -> acc)
-          t.jobs [])
+          (fun _ (_, e) acc ->
+             match e.slot with Running fut -> fut :: acc | Settled _ -> acc)
+          t.running [])
   in
   List.iter (fun fut -> ignore (Future.await ?timeout_s fut : Job.outcome Future.outcome)) futures;
   sweep t

@@ -2,16 +2,26 @@
 
     A submit is admitted ({!Admission}), decoded with the lib/io parsers,
     and enqueued; the response is the job's digest, returned immediately
-    — clients poll, wait on, or cancel the digest afterwards.  Identical
-    jobs coalesce: a second submit of the same digest joins the first
-    job's future (and, like any re-submit, is served straight from the
-    runtime's report cache once settled).
+    — clients poll, wait on, or cancel the digest afterwards.
 
-    A settled job keeps only its rendered reply: the first poll or wait
+    One job table, keyed by digest, holds running jobs, settled replies
+    and reports replicated to this node by a fleet coordinator
+    ({!Wire.Put_report}).  A job is a deterministic function of its
+    inputs, so its digest is a content address: a second submit of a
+    running digest joins the first job's future, and a resubmit of a
+    settled one is answered from the table without running anything.  A
+    settled job keeps only its rendered reply: the first poll or wait
     that finds it settled renders the report and drops the outcome, and
-    later reads serve the same text.  Resubmits of an identical payload
-    skip the decode through a memo keyed on the payload's MD5, which
-    keeps the 512 most recently used payloads.
+    later reads serve the same text.
+
+    Running jobs are never evicted.  Settled entries are bounded: they
+    live in two generations of 1,024 digests each, and a reply read at
+    least once per 1,024 settlements stays.  A poll, wait or cancel of an
+    evicted digest answers the typed ["not-found"] error, as for a digest
+    never seen; resubmitting the job runs it again and yields the same
+    report.  Resubmits of an identical payload skip the decode through a
+    memo keyed on the payload's MD5, bounded the same way (two
+    generations of 512 payloads).
 
     Shedding is typed end to end: admission limits and the runtime's own
     bounded queue both surface as an ["overloaded"] {e transient} wire
@@ -34,22 +44,18 @@ val create :
   t
 (** Route onto [runtime].  [job_timeout_s] and [retry] are passed to
     every {!Runtime.submit}.  [admission] defaults to
-    [Admission.create ()].  The store of reports replicated to this node
-    by a fleet coordinator ({!Wire.Put_report}) holds at most 256
-    entries; the oldest are evicted FIFO. *)
+    [Admission.create ()]. *)
 
 val admission : t -> Admission.t
-
-val replica_count : t -> int
-(** Reports currently held in the replica store. *)
 
 val handle : t -> client:int -> Wire.request -> Wire.response
 (** Handle one request on behalf of connection [client].  Never raises:
     every failure becomes an [Error_reply].  [Wait] blocks the calling
     (connection) thread until the job settles or its timeout expires —
     a wait-timeout on a still-running job reports [Job_pending].
-    [Put_report] stores a replicated report (servable by poll/wait/submit
-    on its digest); [Fleet_status] and [Drain_node] are coordinator ops
+    [Put_report] stores a replicated report as a settled entry (servable
+    by poll/wait/submit on its digest) unless the table already holds the
+    digest; [Fleet_status] and [Drain_node] are coordinator ops
     and answer a ["bad-request"] error here. *)
 
 val classify : t -> Wire.request -> [ `Fast | `Slow ]

@@ -282,8 +282,9 @@ type job_state =
 
 type response =
   | Accepted of { job : string; cached : bool }
-      (** submit acknowledged; [cached] when served straight from the
-          report cache *)
+      (** submit acknowledged; [cached] when the server already holds the
+          digest's finished report (it ran the job earlier, or a
+          coordinator replicated the report to it) *)
   | Status of { job : string; state : job_state }
   | Cancelled of { job : string; cancelled : bool }
   | Stats_reply of json

@@ -12,9 +12,17 @@
 # pair the side that goes first alternates.  Every run's result line is
 # printed as it lands, then one row per end-to-end metric of
 # BENCHMARK.json: the median change/parent ratio over the pairs, its
-# min-max, and the pairs the change wins (higher or lower, as the metric
-# prefers).  Wall-clock runs on a shared host are noisy, so this is a
-# tool for a PR's evidence, not a CI gate.
+# min-max, the pairs the change wins (higher or lower, as the metric
+# prefers), the interquartile range of the parent's runs and a verdict:
+#   better      every change run beats every parent run;
+#   unresolved  the parent's IQR is wider than the metric's bound, or the
+#               medians differ by no more than that IQR (run-to-run noise
+#               cannot tell the sides apart);
+#   worse       the change's median is worse by more than the bound;
+#   gain        better medians and wins in at least 9 of 10 pairs;
+#   within      otherwise (no worse than the bound).
+# Wall-clock runs on a shared host are noisy, so this is a tool for a
+# PR's evidence, not a CI gate.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -59,7 +67,7 @@ for i in $(seq 1 "$pairs"); do
 done
 
 python3 - "$tmp" "$pairs" "$tmp/change/BENCHMARK.json" "$workload" "$parent_rev" "$change_rev" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 tmp, pairs, bench, workload, parent_rev, change_rev = sys.argv[1:]
 pairs = int(pairs)
@@ -77,20 +85,42 @@ for s, rs in runs.items():
 
 print(f"{workload}: change {change_rev} vs parent {parent_rev}, {pairs} pairs "
       "(seed 1, 20 s)")
-print("| metric | parent median | change median | ratio median | ratio min-max | wins |")
-print("|---|---|---|---|---|---|")
+def iqr(xs):
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
+
+def verdict(par, chg, higher, bound, wins):
+    mp, mc = statistics.median(par), statistics.median(chg)
+    better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
+    spread = iqr(par)
+    if all(better(c, p) for c in chg for p in par):
+        return "better"
+    if spread > bound * abs(mp) or abs(mc - mp) <= spread:
+        return "unresolved"
+    if not better(mc, mp) and abs(mc - mp) > bound * abs(mp):
+        return "worse"
+    if better(mc, mp) and wins >= math.ceil(0.9 * pairs):
+        return "gain"
+    return "within"
+
+print("| metric | parent median | change median | ratio median | ratio min-max "
+      "| wins | parent IQR | verdict |")
+print("|---|---|---|---|---|---|---|---|")
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
     par = [r["metrics"][name]["value"] for r in runs["parent"] if name in r["metrics"]]
     chg = [r["metrics"][name]["value"] for r in runs["change"] if name in r["metrics"]]
     if len(par) != pairs or len(chg) != pairs:
-        print(f"| {name} | - | - | - | - | missing |")
+        print(f"| {name} | - | - | - | - | missing | - | - |")
         continue
     ratios = [c / p if p else float("nan") for p, c in zip(par, chg)]
     wins = sum(1 for p, c in zip(par, chg) if (c > p if higher else c < p))
     print(f"| {name} | {statistics.median(par):.4g} | {statistics.median(chg):.4g} "
           f"| {statistics.median(ratios):.3f} | {min(ratios):.3f}-{max(ratios):.3f} "
-          f"| {wins}/{pairs} |")
+          f"| {wins}/{pairs} | {iqr(par):.4g} "
+          f"| {verdict(par, chg, higher, m['bound'], wins)} |")
 
 print("\nevery run, pair by pair (parent -> change):")
 for m in metrics:

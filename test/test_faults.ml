@@ -288,8 +288,8 @@ let test_batch_after_shutdown_cancelled () =
   | [ Future.Value _ ] -> ()
   | _ -> Alcotest.fail "baseline batch succeeds");
   Runtime.shutdown rt;
-  (* Fresh jobs (bounds the baseline never used), so the report cache
-     cannot answer and the stopped pool is actually exercised. *)
+  (* Fresh jobs (bounds the baseline never used), so the stopped pool is
+     exercised by jobs that never ran. *)
   let params = Wsn.default_params in
   let fresh =
     List.map
@@ -348,8 +348,9 @@ let test_wedged_fill_wakes_waiters () =
   | `Value 42 -> ()
   | _ -> Alcotest.fail "woken waiter recomputes and succeeds");
   (* The failed fill left no residue: a fresh caller hits the Done entry. *)
-  Alcotest.(check (option int)) "entry landed" (Some 42)
-    (Lru_cache.find cache "k")
+  Alcotest.(check int) "entry landed" 42
+    (Lru_cache.find_or_compute cache ~key:"k" (fun () ->
+         Alcotest.fail "a landed entry is not recomputed"))
 
 (* ----------------------------- stats ---------------------------------- *)
 

@@ -248,10 +248,10 @@ let check_outcome_identical name seq par =
 (* A job run through a 2-worker runtime, as a server runs it — on a pool
    domain, with the batched elimination and the elimination cache
    installed — against the direct call on this domain with neither.  The
-   report cache is off so every repeat really runs on the pool. *)
+   runtime keeps no reports, so every repeat really runs on the pool. *)
 let check_served_identical ~repeats name job =
   let reference = Job.run job in
-  Runtime.with_runtime ~workers:2 ~report_cache_capacity:0 (fun rt ->
+  Runtime.with_runtime ~workers:2 (fun rt ->
       for i = 1 to repeats do
         match Runtime.run_batch rt [ job ] with
         | [ Future.Value o ] ->

@@ -262,27 +262,32 @@ let test_batch_matches_sequential () =
              sequential got))
     [ 1; 2; 4 ]
 
-let test_report_cache_hits_on_repeat () =
+(* Jobs are deterministic, so [run_batch] runs each distinct digest once:
+   [bounds] lists 0.5 twice, and both positions get the one run's report.
+   The runtime keeps no reports, so a second batch runs every job again
+   (on a warm elimination cache) and yields the same reports. *)
+let test_batch_runs_each_digest_once () =
   let jobs = repair_jobs bounds in
+  let distinct = List.length (List.sort_uniq compare (List.map Job.digest jobs)) in
+  Alcotest.(check int) "bounds holds one duplicate" (List.length jobs - 1) distinct;
   Runtime.with_runtime ~workers:2 (fun rt ->
-      let hits () = (Runtime.stats rt).Runtime_stats.report_cache_hits in
       let first = List.map (fun o -> render (value o)) (Runtime.run_batch rt jobs) in
-      (* [bounds] lists 0.5 twice, so the first batch may already hit when
-         job 0 settles before job 3 is submitted: count only the growth *)
-      let before = hits () in
+      Alcotest.(check string) "duplicates share a report" (List.nth first 0)
+        (List.nth first 3);
+      let stats = Runtime.stats rt in
+      Alcotest.(check int) "one submit per digest" distinct
+        stats.Runtime_stats.submitted;
+      Alcotest.(check int) "one run per digest" distinct
+        stats.Runtime_stats.completed;
       let second = List.map (fun o -> render (value o)) (Runtime.run_batch rt jobs) in
       Alcotest.(check (list string)) "identical reports on repeat" first second;
-      Alcotest.(check int) "every repeat is a report-cache hit"
-        (List.length jobs) (hits () - before);
-      (match Runtime.elim_cache_counters rt with
-       | Some c ->
-         Alcotest.(check bool) "elimination coalesced across bounds" true
-           (c.Lru_cache.hits > 0);
-         (* 8 bounds, one shared parametric model: one elimination. *)
-         Alcotest.(check int) "single elimination" 1 c.Lru_cache.misses
-       | None -> Alcotest.fail "elimination cache should be on");
-      Alcotest.(check int) "all jobs accounted"
-        (2 * List.length jobs) (Runtime.stats rt).Runtime_stats.completed)
+      Alcotest.(check int) "the repeat runs again" (2 * distinct)
+        (Runtime.stats rt).Runtime_stats.completed;
+      let c = Runtime.elim_cache_counters rt in
+      Alcotest.(check bool) "elimination coalesced across bounds" true
+        (c.Lru_cache.hits > 0);
+      (* 8 bounds, one shared parametric model: one elimination. *)
+      Alcotest.(check int) "single elimination" 1 c.Lru_cache.misses)
 
 let arena_compiles = Metrics.counter "tml_arena_compiles_total"
 
@@ -337,7 +342,7 @@ let test_runtime_stage_timings () =
            Alcotest.(check bool)
              (Printf.sprintf "stats json has %s" (String.concat "." keys))
              true (path json keys <> None))
-        [ [ "jobs" ]; [ "stages"; "eliminate" ]; [ "caches"; "report"; "hit_rate" ] ];
+        [ [ "jobs" ]; [ "stages"; "eliminate" ]; [ "caches"; "elimination"; "hit_rate" ] ];
       Alcotest.(check bool) "stats json workers = 1" true
         (Json.member "workers" json = Some (Json.Num 1.0)))
 
@@ -352,20 +357,6 @@ let test_stage_totals_survive_other_runtime () =
       Alcotest.(check bool) "eliminate counted after another runtime's shutdown"
         true (elim.Runtime_stats.count >= 1))
 
-let test_runtime_cache_disabled () =
-  let jobs = repair_jobs [ 0.5; 0.5 ] in
-  Runtime.with_runtime ~workers:1 ~report_cache_capacity:0
-    ~elim_cache_capacity:0 (fun rt ->
-      let outcomes = Runtime.run_batch rt jobs in
-      Alcotest.(check int) "both ran" 2 (List.length outcomes);
-      Alcotest.(check bool) "no report cache" true
-        (Runtime.report_cache_counters rt = None);
-      Alcotest.(check bool) "no elim cache" true
-        (Runtime.elim_cache_counters rt = None);
-      let stats = Runtime.stats rt in
-      Alcotest.(check int) "no hits counted" 0
-        stats.Runtime_stats.report_cache_hits)
-
 (* Satellite of the server PR: a saturated queue sheds with a typed,
    transient Overloaded instead of blocking the submitting thread. *)
 let test_submit_sheds_overloaded () =
@@ -374,8 +365,7 @@ let test_submit_sheds_overloaded () =
   Fault.install
     (Some (Fault.plan [ Fault.spec ~fires:8 Fault.Check (Fault.Delay 0.3) ]));
   Fun.protect ~finally:(fun () -> Fault.install None) @@ fun () ->
-  Runtime.with_runtime ~workers:1 ~queue_capacity:1 ~report_cache_capacity:0
-    ~elim_cache_capacity:0 (fun rt ->
+  Runtime.with_runtime ~workers:1 ~queue_capacity:1 (fun rt ->
       let model = branch () in
       let job b =
         Job.Check { model; phi = parse (Printf.sprintf "P>=%g [ F goal ]" b) }
@@ -407,8 +397,7 @@ let test_submit_sheds_overloaded () =
 (* run_batch keeps the classic blocking back-pressure: a batch larger
    than the queue never sheds, it just waits for slots. *)
 let test_run_batch_blocks_through_full_queue () =
-  Runtime.with_runtime ~workers:1 ~queue_capacity:1 ~report_cache_capacity:0
-    ~elim_cache_capacity:0 (fun rt ->
+  Runtime.with_runtime ~workers:1 ~queue_capacity:1 (fun rt ->
       let model = branch () in
       let jobs =
         List.init 6 (fun i ->
@@ -473,15 +462,13 @@ let () =
         [
           Alcotest.test_case "batch matches sequential" `Quick
             test_batch_matches_sequential;
-          Alcotest.test_case "report cache on repeat" `Quick
-            test_report_cache_hits_on_repeat;
+          Alcotest.test_case "batch runs each digest once" `Quick
+            test_batch_runs_each_digest_once;
           Alcotest.test_case "model repair compiles once" `Quick
             test_model_repair_compiles_once;
           Alcotest.test_case "stage timings" `Quick test_runtime_stage_timings;
           Alcotest.test_case "stage totals survive another runtime" `Quick
             test_stage_totals_survive_other_runtime;
-          Alcotest.test_case "caches disabled" `Quick
-            test_runtime_cache_disabled;
           Alcotest.test_case "full queue sheds Overloaded" `Quick
             test_submit_sheds_overloaded;
           Alcotest.test_case "run_batch blocks, never sheds" `Quick

@@ -945,6 +945,13 @@ let router_wait router digest =
   | Wire.Status { state; _ } -> state
   | _ -> Alcotest.fail "wait answers a Status"
 
+(* An untimed wait parks on the future's condition; a timed one polls
+   every 2 ms, too slow for loops of thousands of quick jobs. *)
+let router_settle router digest =
+  match Router.handle router ~client:1 (Wire.Wait (digest, None)) with
+  | Wire.Status { state; _ } -> state
+  | _ -> Alcotest.fail "wait answers a Status"
+
 let expect_accepted what = function
   | `Accepted (job, cached) -> (job, cached)
   | `Error kind -> Alcotest.failf "%s: rejected with %s" what kind
@@ -1029,9 +1036,10 @@ let test_settled_reply_after_drop () =
   Alcotest.(check bool) "a wait on it is fast" true
     (Router.classify router (Wire.Wait (digest, None)) = `Fast)
 
-(* The decode memo evicts the least recently used payload: a key touched
-   every 64 submits outlives 512 distinct ones (a wholesale reset at the
-   cap would drop it). *)
+(* The decode memo keeps a key that is used: a key touched every 64
+   submits outlives 512 distinct ones (a wholesale reset at the cap would
+   drop it).  Each distinct job is awaited, so the client's 16 admission
+   tickets never run out however fast the submits come. *)
 let test_memo_hot_key_survives () =
   Runtime.with_runtime ~workers:1 @@ fun rt ->
   let router = Router.create rt in
@@ -1039,7 +1047,8 @@ let test_memo_hot_key_survives () =
   let submit what jr = fst (expect_accepted what (router_submit router jr)) in
   ignore (router_wait router (submit "hot" hot) : Wire.job_state);
   for i = 1 to 512 do
-    ignore (submit "distinct" (check_req (0.6 +. (float_of_int i *. 1e-4))) : string);
+    let distinct = submit "distinct" (check_req (0.6 +. (float_of_int i *. 1e-4))) in
+    ignore (router_settle router distinct : Wire.job_state);
     if i mod 64 = 32 then ignore (submit "hot again" hot : string)
   done;
   let decodes0 = Metrics.counter_value job_decodes in
@@ -1085,6 +1094,125 @@ let test_memo_memory_bounded () =
   let per_submit = (!peak - !w100) / 500 in
   if per_submit > 1_000 then
     Alcotest.failf "router grows %d words per distinct submit" per_submit
+
+(* ------------------------------ job table ------------------------------ *)
+
+(* The settled half of the job table keeps one to two generations of
+   1,024 digests: this many settled inserts push any untouched digest out. *)
+let past_the_bound = 4096
+
+let router_poll router digest = Router.handle router ~client:1 (Wire.Poll digest)
+
+let put_reports router ~prefix n =
+  for i = 1 to n do
+    match
+      Router.handle router ~client:1
+        (Wire.Put_report { job = Printf.sprintf "%s-%d" prefix i; report = "filler\n" })
+    with
+    | Wire.Stored _ -> ()
+    | _ -> Alcotest.fail "put-report answers Stored"
+  done
+
+let expect_not_found what = function
+  | Wire.Error_reply e ->
+    Alcotest.(check string) what "not-found" e.Wire.kind;
+    Alcotest.(check bool) (what ^ " is permanent") false e.Wire.transient
+  | _ -> Alcotest.failf "%s: expected not-found" what
+
+let done_report what = function
+  | Wire.Job_done r -> r
+  | _ -> Alcotest.failf "%s: expected a finished job" what
+
+(* A settled digest pushed past the bound is forgotten: poll, wait and
+   cancel answer not-found, as for a digest never seen, and resubmitting
+   the same payload runs the job again to the byte-identical report. *)
+let test_table_evicts_settled () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let jr = check_req 0.31 in
+  let digest, _ = expect_accepted "first" (router_submit router jr) in
+  let report = done_report "first wait" (router_wait router digest) in
+  put_reports router ~prefix:"evict" past_the_bound;
+  expect_not_found "poll" (router_poll router digest);
+  expect_not_found "wait" (Router.handle router ~client:1 (Wire.Wait (digest, Some 1.0)));
+  expect_not_found "cancel" (Router.handle router ~client:1 (Wire.Cancel digest));
+  Alcotest.(check bool) "a wait on it is fast" true
+    (Router.classify router (Wire.Wait (digest, None)) = `Fast);
+  let digest', cached = expect_accepted "resubmit" (router_submit router jr) in
+  Alcotest.(check string) "same digest" digest digest';
+  Alcotest.(check bool) "the resubmit runs again" false cached;
+  Alcotest.(check string) "byte-identical report" report
+    (done_report "resubmit wait" (router_wait router digest'))
+
+(* Running jobs are never evicted, however many settled entries arrive
+   while they run. *)
+let test_table_keeps_running () =
+  with_delay_faults ~fires:1 ~delay:0.5 @@ fun () ->
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let digest, _ = expect_accepted "slow" (router_submit router (check_req 0.32)) in
+  put_reports router ~prefix:"keep" past_the_bound;
+  (match router_poll router digest with
+   | Wire.Status { state = Wire.Job_pending; _ } -> ()
+   | _ -> Alcotest.fail "the running job is still pending");
+  Alcotest.(check int) "one pending job" 1 (Router.pending_jobs router);
+  ignore (done_report "slow wait" (router_wait router digest) : string)
+
+(* A replicated report is a settled entry: poll, wait and submit serve it
+   without running anything.  It never replaces what the table holds: a
+   running job, or a reply the node rendered itself. *)
+let test_table_put_report () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let put digest report =
+    match Router.handle router ~client:1 (Wire.Put_report { job = digest; report }) with
+    | Wire.Stored { job } -> Alcotest.(check string) "stored digest" digest job
+    | _ -> Alcotest.fail "put-report answers Stored"
+  in
+  let replicated = check_req 0.33 in
+  let digest = Job.digest (Wire.job_of_request replicated) in
+  put digest "replicated\n";
+  (match router_poll router digest with
+   | Wire.Status { state; _ } ->
+     Alcotest.(check string) "poll" "replicated\n" (done_report "poll" state)
+   | _ -> Alcotest.fail "poll answers a Status");
+  Alcotest.(check string) "wait" "replicated\n"
+    (done_report "wait" (router_wait router digest));
+  let runs0 = (Runtime.stats rt).Runtime_stats.submitted in
+  let digest', cached = expect_accepted "submit" (router_submit router replicated) in
+  Alcotest.(check string) "same digest" digest digest';
+  Alcotest.(check bool) "answered cached" true cached;
+  Alcotest.(check int) "nothing ran" runs0 (Runtime.stats rt).Runtime_stats.submitted;
+  (* a running job keeps its future *)
+  with_delay_faults ~fires:1 ~delay:0.3 (fun () ->
+      let running, _ = expect_accepted "slow" (router_submit router (check_req 0.34)) in
+      put running "bogus\n";
+      let report = done_report "slow wait" (router_wait router running) in
+      Alcotest.(check bool) "the run's own report" true (report <> "bogus\n");
+      (* and a settled reply keeps its text *)
+      put running "bogus\n";
+      Alcotest.(check string) "settled reply kept" report
+        (done_report "second wait" (router_wait router running)))
+
+(* Many more distinct checks than the table keeps: the router's reachable
+   words stop growing.  The peak over a second full run of the table's
+   cycle stays within a tenth of the peak over the first. *)
+let test_table_memory_bounded () =
+  Runtime.with_runtime ~workers:1 @@ fun rt ->
+  let router = Router.create rt in
+  let words () = Obj.reachable_words (Obj.repr router) in
+  let first = ref 0 and second = ref 0 in
+  for i = 1 to 3 * past_the_bound do
+    let digest, _ =
+      expect_accepted "check" (router_submit router (check_req (0.1 +. (float_of_int i *. 1e-5))))
+    in
+    ignore (done_report "check" (router_settle router digest) : string);
+    if i mod 256 = 0 then
+      if i > 2 * past_the_bound then second := max !second (words ())
+      else if i > past_the_bound then first := max !first (words ())
+  done;
+  if !second > !first + (!first / 10) then
+    Alcotest.failf "router grew from %d to %d words" !first !second
 
 (* ----------------------------- wake pipe ------------------------------ *)
 
@@ -1336,6 +1464,16 @@ let () =
             test_settled_reply_after_drop;
           Alcotest.test_case "hot key survives 512 submits" `Quick
             test_memo_hot_key_survives;
+        ] );
+      ( "job table",
+        [
+          Alcotest.test_case "settled digest evicted, resubmit identical" `Quick
+            test_table_evicts_settled;
+          Alcotest.test_case "running job never evicted" `Quick
+            test_table_keeps_running;
+          Alcotest.test_case "put-report served, never replaces" `Quick
+            test_table_put_report;
+          Alcotest.test_case "memory bounded" `Quick test_table_memory_bounded;
         ] );
       ( "wake pipe",
         [
