@@ -102,9 +102,11 @@ perfbench-smoke:
 	python3 perfbench/run.py --smoke
 
 # A/B of a revision (default: the parent commit) against HEAD on one
-# perfbench workload: alternating 20 s pairs, then per end-to-end metric
+# perfbench workload (WORKLOAD=all: each workload of BENCHMARK.json in
+# turn): alternating 20 s pairs, then per workload and end-to-end metric
 # the median change/parent ratio, its min-max and the wins.  Builds both
-# sides from committed files; noisy on shared hosts, so not a CI step.
+# sides once, from committed files; noisy on shared hosts, so not a CI
+# step.
 REV ?= HEAD~1
 WORKLOAD ?= repair_mix
 PAIRS ?= 3

@@ -575,8 +575,8 @@ type kernel_bench = {
   k_rungs : kernel_rung list;
 }
 
-(* The primitives behind parallel state elimination, chosen so each rung
-   hammers one shared-kernel layer: interned-monomial products (the
+(* The primitives that concurrent jobs' state eliminations share, chosen
+   so each rung hammers one shared-kernel layer: interned-monomial products (the
    sharded global cons cache), small-rational arithmetic, a whole
    min-degree elimination (every layer at once), and the compiled arena
    evaluator (the NLP multistart inner loop).  Everything is built
@@ -1909,7 +1909,7 @@ let event_loop_rows el =
     row "pipelined request (8 clients, unix)" el.el_pipelined ]
 
 (* One synthetic row per kernel-scaling primitive at the 1-domain rung:
-   the gate tracks single-domain cost so the parallel kernel cannot buy
+   the gate tracks single-domain cost so the shared kernel cannot buy
    multicore scaling by slowing the sequential path down.  Skipped rungs
    (and hence higher domain counts) are never gated — they depend on the
    host's core count, not on the code. *)

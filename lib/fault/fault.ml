@@ -5,7 +5,6 @@ type site =
   | Check
   | Cache
   | Worker
-  | Subtask
   | Accept
   | Read
   | Decode
@@ -66,7 +65,6 @@ let site_name = function
   | Check -> "check"
   | Cache -> "cache"
   | Worker -> "worker"
-  | Subtask -> "subtask"
   | Accept -> "accept"
   | Read -> "read"
   | Decode -> "decode"
@@ -79,7 +77,6 @@ let site_of_string = function
   | "check" -> Some Check
   | "cache" -> Some Cache
   | "worker" -> Some Worker
-  | "subtask" -> Some Subtask
   | "accept" -> Some Accept
   | "read" -> Some Read
   | "decode" -> Some Decode
@@ -103,9 +100,6 @@ let site_index = function
   | Read -> 7
   | Decode -> 8
   | Write -> 9
-  (* appended, not inserted: keeps the seeded coin of every older site
-     stable so recorded chaos runs replay identically *)
-  | Subtask -> 10
 
 (* SplitMix64 finalizer over (seed, site, occurrence) — deterministic
    per-occurrence coin for rate-limited specs. *)

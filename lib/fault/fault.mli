@@ -21,16 +21,12 @@ type site =
   | Check
   | Cache
   | Worker
-  | Subtask
   | Accept
   | Read
   | Decode
   | Write
 (** Where a fault can fire — the four pipeline stages, cache fills, the
-    worker dequeue loop, the intra-job subtask drain ([Subtask], probed
-    by pool workers before claiming a parallel-elimination subtask —
-    distinct from [Worker] so older occurrence-counted plans replay
-    unchanged), and the four connection-handling points of the
+    worker dequeue loop, and the four connection-handling points of the
     repair server ([Accept]/[Read]/[Decode]/[Write], probed by
     [lib/server] per accepted connection, received frame, decoded request
     and written response). *)
@@ -64,7 +60,7 @@ val install : t option -> unit
 
 val site_name : site -> string
 (** ["learn"], ["eliminate"], ["solve"], ["check"], ["cache"], ["worker"],
-    ["subtask"], ["accept"], ["read"], ["decode"], ["write"]. *)
+    ["accept"], ["read"], ["decode"], ["write"]. *)
 
 val site_of_string : string -> site option
 (** Inverse of {!site_name}; [None] on unknown names. *)

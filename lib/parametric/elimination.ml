@@ -194,33 +194,10 @@ let backward_reachable rows from =
 (* stored value is an [fr]; nothing is normalized until the single      *)
 (* [fr_to_ratfun] at the end of the query.                              *)
 (*                                                                      *)
-(* The schedule is a sequence of dynamic picks; the final rational      *)
-(* function's REPRESENTATION depends on that exact sequence (without    *)
-(* multivariate gcd, different orders leave different common factors   *)
-(* unreduced).  With no [Parallel] runner installed every batch is the  *)
-(* single next pick, which is that sequence itself.  With a runner the  *)
-(* solver does not invent a new schedule: it proves, batch by batch,    *)
-(* that a prefix of the sequential schedule consists of states whose    *)
-(* neighborhoods                                                        *)
-(*   N(s) = {s} ∪ preds(s) ∪ succs(s)                                   *)
-(* are pairwise disjoint.  Disjoint-N eliminations read and write       *)
-(* disjoint array cells (rows of preds(s), pred-sets of succs(s), s's   *)
-(* own row), so running them concurrently is cell-for-cell identical to *)
-(* running them in sequence — byte-identical output, any interleaving.  *)
-(*                                                                      *)
-(* Replicating the DYNAMIC Min_degree pick without executing anything   *)
-(* needs one more argument.  States outside the batch's touched region  *)
-(* ⋃N(b) keep their exact degree (no cell of theirs is written), so     *)
-(* their post-batch pick keys are the frozen ones.  States inside it    *)
-(* have uncertain degrees — but elimination only REMOVES an edge u→v    *)
-(* when v is a batch member or a fill-in target (succs(b)), and only    *)
-(* removes w→u when w is a batch member or fill-in source (preds(b)):   *)
-(* everything else can at most gain edges.  Counting only the edges     *)
-(* that provably survive gives a degree lower bound; if every touched   *)
-(* survivor's bound exceeds the best frozen degree, the frozen argmin   *)
-(* IS the next sequential pick.  Any doubt — a touched state whose      *)
-(* bound could win or tie (ties would invoke the sym_size tie-break on  *)
-(* a row we cannot know) — closes the batch instead of guessing.        *)
+(* The schedule is a sequence of dynamic picks, one state at a time;    *)
+(* the final rational function's REPRESENTATION depends on that exact   *)
+(* sequence (without multivariate gcd, different orders leave different *)
+(* common factors unreduced).                                           *)
 (* ------------------------------------------------------------------ *)
 
 let solve ~order ~rows ~rew ~active ~init =
@@ -239,9 +216,8 @@ let solve ~order ~rows ~rew ~active ~init =
   Array.iteri
     (fun s row -> Imap.iter (fun d _ -> preds.(d) <- Iset.add s preds.(d)) row)
     p;
-  let alive = Array.copy active in
   let to_eliminate =
-    List.filter (fun s -> alive.(s) && s <> init) (List.init n Fun.id)
+    List.filter (fun s -> active.(s) && s <> init) (List.init n Fun.id)
   in
   let degree s = Iset.cardinal preds.(s) * Imap.cardinal p.(s) in
   (* Symbolic size of a state's outgoing row — the Min_degree tie-break.
@@ -254,8 +230,8 @@ let solve ~order ~rows ~rew ~active ~init =
       t.df (P.num_terms t.c)
   in
   let sym_size s = Imap.fold (fun _ f acc -> acc + fr_size f) p.(s) 0 in
-  (* The Min_degree argmin over a non-empty candidate list, with its
-     degree; full ties go to the earliest candidate. *)
+  (* The Min_degree argmin over a non-empty candidate list; full ties go
+     to the earliest candidate. *)
   let argmin candidates =
     let best = ref (List.hd candidates) in
     let best_deg = ref (degree !best) in
@@ -277,20 +253,16 @@ let solve ~order ~rows ~rew ~active ~init =
            end
          end)
       (List.tl candidates);
-    (!best, !best_deg)
+    !best
   in
   let pick remaining =
     match order with
     | Ascending -> List.hd remaining
     | Descending -> List.hd (List.rev remaining)
-    | Min_degree -> fst (argmin remaining)
+    | Min_degree -> argmin remaining
   in
-  (* Each elimination keeps a private normalize-saved tally and adds it to
-     [saved_total] when done, so concurrent eliminations of one batch
-     never share a mutable cell. *)
-  let saved_total = Atomic.make 0 in
+  let saved = ref 0 in
   let eliminate s =
-    let saved = ref 0 in
     let self = Option.value ~default:fr_zero (Imap.find_opt s p.(s)) in
     let one_minus = fr_add fr_one (fr_neg self) in
     if fr_is_zero one_minus then begin
@@ -301,8 +273,7 @@ let solve ~order ~rows ~rew ~active ~init =
         (fun u -> if u <> s then p.(u) <- Imap.remove s p.(u))
         preds.(s);
       Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
+      p.(s) <- Imap.empty
     end
     else begin
       let factor = fr_inv one_minus in
@@ -344,89 +315,19 @@ let solve ~order ~rows ~rew ~active ~init =
         preds.(s);
       Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
       preds.(s) <- Iset.empty;
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end;
-    if !saved > 0 then ignore (Atomic.fetch_and_add saved_total !saved : int)
+      p.(s) <- Imap.empty
+    end
   in
-  let succs s = Imap.fold (fun d _ acc -> Iset.add d acc) p.(s) Iset.empty in
-  let nbhd s = Iset.add s (Iset.union preds.(s) (succs s)) in
-  (* A maximal provably-safe prefix of the sequential schedule, built
-     against the CURRENT (pre-batch) arrays.  [touched] = ⋃N(b) over the
-     batch; [kill_src]/[kill_dst] collect the only edge endpoints batch
-     eliminations can delete (batch members, fill-in sources, fill-in
-     targets), for the degree lower bounds. *)
-  let build_batch remaining =
-    let b1 = pick remaining in
-    let batch = ref [ b1 ] in
-    let bset = ref (Iset.singleton b1) in
-    let touched = ref (nbhd b1) in
-    let kill_src = ref (Iset.add b1 preds.(b1)) in
-    let kill_dst = ref (Iset.add b1 (succs b1)) in
-    let min_deg s =
-      let pl =
-        Iset.fold
-          (fun w acc -> if Iset.mem w !kill_src then acc else acc + 1)
-          preds.(s) 0
-      in
-      let ol =
-        Imap.fold
-          (fun v _ acc -> if Iset.mem v !kill_dst then acc else acc + 1)
-          p.(s) 0
-      in
-      pl * ol
-    in
-    let add c =
-      batch := c :: !batch;
-      bset := Iset.add c !bset;
-      touched := Iset.union !touched (nbhd c);
-      kill_src := Iset.add c (Iset.union !kill_src preds.(c));
-      kill_dst := Iset.add c (Iset.union !kill_dst (succs c))
-    in
-    let stop = ref false in
-    while not !stop do
-      let rest = List.filter (fun s -> not (Iset.mem s !bset)) remaining in
-      let candidate =
-        match order with
-        (* fixed-order schedules: the next pick is positional; only the
-           disjointness of its neighborhood needs proving *)
-        | Ascending -> (match rest with [] -> None | c :: _ -> Some c)
-        | Descending -> (
-            match rest with [] -> None | _ -> Some (List.hd (List.rev rest)))
-        | Min_degree -> (
-            match List.filter (fun s -> not (Iset.mem s !touched)) rest with
-            | [] -> None  (* no state with a provably exact degree left *)
-            | untouched ->
-              (* frozen argmin over untouched survivors — their rows and
-                 pred-sets are exactly the post-batch ones *)
-              let best, best_deg = argmin untouched in
-              (* sound only if no touched survivor could beat OR tie it *)
-              let doubtful =
-                List.exists
-                  (fun s -> Iset.mem s !touched && min_deg s <= best_deg)
-                  rest
-              in
-              if doubtful then None else Some best)
-      in
-      match candidate with
-      | Some c when Iset.disjoint (nbhd c) !touched -> add c
-      | _ -> stop := true
-    done;
-    List.rev !batch
-  in
-  let batched = Parallel.enabled () in
   let rec loop remaining =
     match remaining with
     | [] -> ()
     | _ ->
-      let batch = if batched then build_batch remaining else [ pick remaining ] in
-      Parallel.run (Array.of_list (List.map (fun s () -> eliminate s) batch));
-      let bs = Iset.of_list batch in
-      loop (List.filter (fun x -> not (Iset.mem x bs)) remaining)
+      let s = pick remaining in
+      eliminate s;
+      loop (List.filter (fun x -> x <> s) remaining)
   in
   loop to_eliminate;
-  if Atomic.get saved_total > 0 then
-    Metrics.incr ~by:(Atomic.get saved_total) normalize_saved;
+  if !saved > 0 then Metrics.incr ~by:!saved normalize_saved;
   (* E(init) = r(init) / (1 - p(init,init)) *)
   let self = Option.value ~default:fr_zero (Imap.find_opt init p.(init)) in
   let one_minus = fr_add fr_one (fr_neg self) in

@@ -44,9 +44,10 @@ module Mono = struct
      on the monomial hash — not on the domain — so a structurally equal
      key interned from any domain resolves to the SAME physical monomial,
      keeping the [==] fast paths in [compare]/[Mtbl.equal] valid even
-     when polynomials cross domains (which parallel elimination does on
-     every batch).  Sharding the lock spreads concurrent interning from
-     different domains over [shard_count] mutexes instead of serializing
+     when polynomials cross domains (a memoized elimination computed by
+     one worker's job is read by the next job on another).  Sharding the
+     lock spreads concurrent interning by jobs running on different
+     domains over [shard_count] mutexes instead of serializing
      it on one intern table; each shard's critical section is a single
      hashtable probe.
 

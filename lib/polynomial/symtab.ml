@@ -5,13 +5,14 @@
    intern order and never recycled, so a monomial key built in one domain
    is meaningful in every other.
 
-   Concurrency: id->name lookups sit on the printing/eval paths of every
-   domain running a parallel elimination batch, so they are LOCK-FREE —
-   [name] reads an immutable snapshot array published through an Atomic.
-   Name->id lookups go through a table sharded on the string hash (one
-   mutex per shard, single hashtable probe per critical section), and
-   only the rare first-intern of a new name takes the global writer lock
-   that assigns the next dense id and republishes the snapshot. *)
+   Concurrency: the shards exist for concurrent jobs.  id->name lookups
+   sit on the printing/eval paths of every worker domain running a job,
+   so they are LOCK-FREE — [name] reads an immutable snapshot array
+   published through an Atomic.  Name->id lookups go through a table
+   sharded on the string hash (one mutex per shard, single hashtable
+   probe per critical section), and only the rare first-intern of a new
+   name takes the global writer lock that assigns the next dense id and
+   republishes the snapshot. *)
 
 type shard = { lock : Mutex.t; tbl : (string, int) Hashtbl.t }
 

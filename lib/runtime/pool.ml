@@ -7,21 +7,6 @@ type task = {
   run : unit -> unit;
 }
 
-(* A batch of intra-job subtasks ([run_subtasks]).  Workers and the
-   submitting caller claim indices from [sb_next] (a lock-free ticket);
-   the claimer that completes the last task broadcasts [sb_done].  The
-   error slot keeps the LOWEST-indexed failure, so which exception
-   surfaces does not depend on the temporal order tasks failed in —
-   part of the parallel-kernel determinism contract. *)
-type subbatch = {
-  sb_tasks : (unit -> unit) array;
-  sb_next : int Atomic.t;
-  sb_mutex : Mutex.t;
-  sb_done : Condition.t;
-  mutable sb_completed : int;
-  mutable sb_err : (int * exn) option;
-}
-
 type t = {
   mutex : Mutex.t;
   not_empty : Condition.t;
@@ -33,47 +18,11 @@ type t = {
   mutable stopping : bool;
   mutable respawn_count : int;
   mutable domains : unit Domain.t list;
-  mutable subtasks : subbatch list;  (* live batches, FIFO *)
 }
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-(* Claim and run subtasks until the batch's ticket counter is exhausted.
-   Runs on worker domains AND on the domain that submitted the batch
-   (caller-drain): a batch therefore always makes progress even when
-   every worker is busy or the submitter IS the only worker, which is
-   what makes nested submits deadlock-free.  Each claimed task is run
-   exactly once; its exception is recorded (lowest index wins) and never
-   escapes, so a claimed subtask can never be lost to a domain crash. *)
-let drain_subbatch b =
-  let n = Array.length b.sb_tasks in
-  let rec go () =
-    let i = Atomic.fetch_and_add b.sb_next 1 in
-    if i < n then begin
-      let err = match b.sb_tasks.(i) () with () -> None | exception e -> Some e in
-      Mutex.lock b.sb_mutex;
-      (match err with
-       | Some e when (match b.sb_err with Some (j, _) -> i < j | None -> true) ->
-         b.sb_err <- Some (i, e)
-       | _ -> ());
-      b.sb_completed <- b.sb_completed + 1;
-      if b.sb_completed = n then Condition.broadcast b.sb_done;
-      Mutex.unlock b.sb_mutex;
-      go ()
-    end
-  in
-  go ()
-
-let sb_live b = Atomic.get b.sb_next < Array.length b.sb_tasks
-
-(* Under [t.mutex]: drop exhausted batches, return the first live one. *)
-let live_subbatch t =
-  (match t.subtasks with
-   | [] -> ()
-   | _ -> t.subtasks <- List.filter sb_live t.subtasks);
-  match t.subtasks with [] -> None | b :: _ -> Some b
 
 (* One worker domain.  [run_task] is supervised: [task.run] settles the
    future itself and swallows every exception of the job body, so an
@@ -87,38 +36,22 @@ let rec worker_loop t () =
   let job =
     locked t (fun () ->
         let rec wait () =
-          (* intra-job subtasks run before queued jobs: they are pieces of
-             jobs already running, so finishing them first is what frees
-             workers fastest *)
-          match live_subbatch t with
-          | Some b -> Some (`Sub b)
-          | None ->
-            if not (Queue.is_empty t.queue) then begin
-              let task = Queue.pop t.queue in
-              Condition.signal t.not_full;
-              Some (`Task task)
-            end
-            else if t.stopping then None
-            else begin
-              Condition.wait t.not_empty t.mutex;
-              wait ()
-            end
+          if not (Queue.is_empty t.queue) then begin
+            let task = Queue.pop t.queue in
+            Condition.signal t.not_full;
+            Some task
+          end
+          else if t.stopping then None
+          else begin
+            Condition.wait t.not_empty t.mutex;
+            wait ()
+          end
         in
         wait ())
   in
   match job with
   | None -> ()
-  | Some (`Sub b) -> (
-      (* Probe BEFORE claiming: an injected [Subtask] crash kills this
-         worker domain without orphaning a claimed index, so the batch
-         still completes through the caller-drain (and the other
-         workers), while the pool respawns the domain as usual. *)
-      match Fault.at Fault.Subtask with
-      | () ->
-        drain_subbatch b;
-        worker_loop t ()
-      | exception e -> worker_crashed t e)
-  | Some (`Task task) -> (
+  | Some task -> (
       ignore (Trace_span.event "pool:dequeue" : int option);
       match
         Fault.at Fault.Worker;
@@ -129,22 +62,21 @@ let rec worker_loop t () =
           | _ -> task.run ()
       with
       | () -> worker_loop t ()
-      | exception e -> worker_crashed t ~task e)
+      | exception e -> worker_crashed t task e)
 
-and worker_crashed t ?task e =
+and worker_crashed t task e =
   let respawned =
     locked t (fun () ->
         if t.stopping then false
         else begin
           t.respawn_count <- t.respawn_count + 1;
-          (match task with
-           | Some task when task.pending () ->
-             (* requeue the interrupted job; capacity is deliberately
-                ignored here — the slot it occupied was already accounted
-                for by the original submit *)
-             Queue.push task t.queue;
-             Condition.signal t.not_empty
-           | _ -> ());
+          if task.pending () then begin
+            (* requeue the interrupted job; capacity is deliberately
+               ignored here — the slot it occupied was already accounted
+               for by the original submit *)
+            Queue.push task t.queue;
+            Condition.signal t.not_empty
+          end;
           let d = Domain.spawn (worker_loop t) in
           t.domains <- d :: t.domains;
           true
@@ -154,7 +86,7 @@ and worker_crashed t ?task e =
     (Trace_span.event "pool:respawn"
        ~attrs:[ ("error", Printexc.to_string e) ]
       : int option);
-  if not respawned then Option.iter (fun task -> task.crashed e) task;
+  if not respawned then task.crashed e;
   t.on_respawn e
 
 let create ?(queue_capacity = 64) ?(on_queue_depth = ignore)
@@ -173,7 +105,6 @@ let create ?(queue_capacity = 64) ?(on_queue_depth = ignore)
       stopping = false;
       respawn_count = 0;
       domains = [];
-      subtasks = [];
     }
   in
   t.domains <- List.init workers (fun _ -> Domain.spawn (worker_loop t));
@@ -243,40 +174,6 @@ let submit t ?timeout_s f =
         a shutdown never leaks an unsettled future *)
      ignore (Future.cancel fut));
   fut
-
-let run_subtasks t tasks =
-  let n = Array.length tasks in
-  if n = 0 then ()
-  else if n = 1 then tasks.(0) ()
-  else begin
-    let b =
-      {
-        sb_tasks = tasks;
-        sb_next = Atomic.make 0;
-        sb_mutex = Mutex.create ();
-        sb_done = Condition.create ();
-        sb_completed = 0;
-        sb_err = None;
-      }
-    in
-    locked t (fun () ->
-        t.subtasks <- t.subtasks @ [ b ];
-        (* every idle worker may help, not just one *)
-        Condition.broadcast t.not_empty);
-    (* The submitting domain drains its own batch before waiting: progress
-       never depends on a free worker existing, so a worker running a job
-       that fans out subtasks (even nested ones) cannot deadlock the pool
-       it occupies. *)
-    drain_subbatch b;
-    Mutex.lock b.sb_mutex;
-    while b.sb_completed < n do
-      Condition.wait b.sb_done b.sb_mutex
-    done;
-    let err = b.sb_err in
-    Mutex.unlock b.sb_mutex;
-    locked t (fun () -> t.subtasks <- List.filter (fun b' -> b' != b) t.subtasks);
-    match err with None -> () | Some (_, e) -> raise e
-  end
 
 let try_submit t ?timeout_s f =
   let fut = Future.create () in

@@ -59,20 +59,6 @@ val submit : t -> ?timeout_s:float -> (unit -> 'a) -> 'a Future.t
     boundary while running, resolving [Timed_out] either way.  After
     {!shutdown} has begun, returns an already-[Cancelled] future. *)
 
-val run_subtasks : t -> (unit -> unit) array -> unit
-(** Run a batch of intra-job subtasks across the pool and return when all
-    of them have finished.  Unlike {!submit} this is a {e nested} submit,
-    safe to call from inside a job running on a worker: the calling
-    domain claims and runs subtasks itself (caller-drain) while idle
-    workers help, so the batch completes even when no worker is free and
-    nested calls can never deadlock the pool.  Tasks must be pairwise
-    independent; every task runs exactly once, and the lowest-indexed
-    task's exception (if any) is re-raised after the batch settles —
-    matching {!Parallel.run}'s determinism contract.  Workers probe the
-    [Fault.Subtask] site before claiming from a batch: an injected crash
-    kills the helper domain (it is respawned as usual) without losing a
-    claimed subtask. *)
-
 val try_submit : t -> ?timeout_s:float -> (unit -> 'a) -> 'a Future.t option
 (** Non-blocking {!submit}: [None] when the queue is full {e right now}
     (nothing is enqueued — the caller sheds or retries), otherwise exactly

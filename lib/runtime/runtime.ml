@@ -29,10 +29,8 @@ let create ?workers ?(queue_capacity = 64) () =
   let elim_cache =
     Lru_cache.create ~name:"elimination" ~capacity:elim_cache_capacity ()
   in
-  (* Process-global hooks: the elimination memo, the fault observer and
-     the intra-job parallel runner.  The runtime owns them until
-     shutdown. *)
-  Parallel.set_runner (Some (Pool.run_subtasks pool));
+  (* Process-global hooks: the elimination memo and the fault observer.
+     The runtime owns them until shutdown. *)
   Fault.set_observer (Some (fun _site -> Runtime_stats.incr stats `Fault_injected));
   Pquery.set_memo
     (Some (fun ~key ~compute -> Lru_cache.find_or_compute elim_cache ~key compute));
@@ -124,7 +122,6 @@ let stats_json t =
 let shutdown ?drain t =
   if not t.shut then begin
     t.shut <- true;
-    Parallel.set_runner None;
     Pool.shutdown ?drain t.pool;
     Pquery.set_memo None;
     Fault.set_observer None

@@ -10,9 +10,9 @@
     submits from its own job table, and {!run_batch} runs each distinct
     digest once.
 
-    The elimination memo, fault observer and parallel runner are
-    process-global hooks; the most recently created runtime owns them, and {!shutdown} uninstalls
-    them.  Create runtimes one at a time (the intended use: one runtime per
+    The elimination memo and fault observer are process-global hooks;
+    the most recently created runtime owns them, and {!shutdown}
+    uninstalls them.  Create runtimes one at a time (the intended use: one runtime per
     server process).
 
     Jobs are deterministic, so a batch run on [k] workers produces results
@@ -81,7 +81,7 @@ val stats_json : t -> Json.t
 
 val shutdown : ?drain:bool -> t -> unit
 (** Shut the pool down ({!Pool.shutdown}) and uninstall the global
-    elimination memo, fault observer and parallel runner.  Idempotent. *)
+    elimination memo and fault observer.  Idempotent. *)
 
 val with_runtime : ?workers:int -> ?queue_capacity:int -> (t -> 'a) -> 'a
 (** [create], run the function, always [shutdown]. *)

@@ -28,11 +28,11 @@ type node = {
 }
 
 (* Every digest the coordinator currently tracks.  [req] is the wire
-   payload kept for resubmission after a node death, dropped once the
-   job is observed complete (it can never need re-running again);
+   payload kept for resubmission after a node death, or after every
+   backend has evicted a finished job from its bounded job table;
    poll/wait/cancel on digests submitted elsewhere still route, they
-   just cannot be recovered if the owner dies before completing.
-   Completed entries are evicted FIFO past [max_completed], so the
+   just cannot be recovered if no backend holds them.  Completed entries
+   (payload included) are evicted FIFO past [max_completed], so the
    registry stays bounded on a long-lived coordinator. *)
 type entry = {
   mutable req : Wire.job_request option;
@@ -265,7 +265,7 @@ let register t digest jr =
         (* the digest may have been seen first via poll/wait/cancel
            ([req = None]): attach the payload so this submit gets the
            resubmission guarantee too *)
-        if e.req = None && not e.completed then e.req <- Some jr;
+        if e.req = None then e.req <- Some jr;
         e
       | None ->
         let e =
@@ -285,11 +285,11 @@ let register_foreign t digest =
         Hashtbl.replace t.jobs digest e;
         e)
 
-(* First completed observation of a digest: a client has seen the job
-   settle, so drop the payload kept for resubmission (a backend that
-   later evicts the digest from its bounded job table answers not-found,
-   which reaches the client, who resubmits), and enqueue the digest for
-   FIFO eviction past [max_completed] — the registry stays bounded
+(* First completed observation of a digest: enqueue it for FIFO
+   eviction past [max_completed].  The payload stays, so a later
+   poll/wait that every backend answers not-found (each evicted the
+   digest from its bounded job table, or restarted) is resubmitted and
+   re-run instead of passed on to the client.  The registry stays bounded
    instead of growing with every job the coordinator has ever
    accepted.  Evicted digests that come back (a late poll) just take the
    [register_foreign] path and route by ring order. *)
@@ -297,7 +297,6 @@ let mark_completed t ~digest entry =
   locked t (fun () ->
       if not entry.completed then begin
         entry.completed <- true;
-        entry.req <- None;
         Queue.push digest t.completed_q;
         while Queue.length t.completed_q > t.max_completed do
           let evicted = Queue.pop t.completed_q in

@@ -14,12 +14,13 @@
     ({!Retry.backoff_s}), bumping [tml_fleet_reroutes_total].  Finished
     reports are replicated ({!Wire.Put_report}) to the digest's
     successor, and every accepted submit's wire payload is kept in a
-    registry until the job is observed complete: when a failover node
-    answers ["not-found"], the job is resubmitted there and re-asked.
-    Jobs are deterministic, so the recovered report is byte-identical —
-    an accepted job is never lost to a node death.  Completed registry
-    entries are evicted FIFO past [max_completed], so coordinator memory
-    does not grow with lifetime job count.
+    registry: when a node answers ["not-found"] (a failover node, or one
+    that evicted or lost a finished job), the job is resubmitted there
+    and re-asked.  Jobs are deterministic, so the recovered report is
+    byte-identical — an accepted job is never lost to a node death.
+    Completed registry entries, payload included, are evicted FIFO past
+    [max_completed], so coordinator memory does not grow with lifetime
+    job count.
 
     {b Waits.}  Proxied [Wait]s are re-issued to the backend in chunks
     shorter than [rpc_timeout_s], with the wait's own deadline enforced

@@ -3,6 +3,7 @@ let default_max_frame = 16 * 1024 * 1024
 
 exception Protocol_error = Json.Error
 exception Peer_closed of string
+exception Bad_request of string
 
 let proto = Json.fail
 let peer fmt = Printf.ksprintf (fun m -> raise (Peer_closed m)) fmt
@@ -251,7 +252,7 @@ let err_of_exn = function
   | Protocol_error m -> { kind = "protocol"; message = m; transient = false }
   | Peer_closed m -> { kind = "unreachable"; message = m; transient = true }
   | Dtmc_io.Parse_error m | Mdp_io.Parse_error m | Trace_io.Parse_error m
-  | Spec_io.Parse_error m ->
+  | Spec_io.Parse_error m | Bad_request m ->
     { kind = "bad-request"; message = m; transient = false }
   | e ->
     { kind = "internal"; message = Printexc.to_string e; transient = false }
@@ -511,14 +512,14 @@ let job_request_of_json j =
   | k -> proto "unknown job kind %S" k
 
 (* Decode the textual payload into a real [Job.t] with the lib/io parsers.
-   Any parse failure escapes as that parser's own exception; the router
-   maps it to a non-transient [bad-request] wire error. *)
+   A lib/io parse failure escapes as that parser's own exception; the
+   router maps it to a non-transient [bad-request] wire error. *)
 let parse_backend b =
   match Repair_backend.of_string b with
   | Ok backend -> backend
   | Error msg -> proto "field \"backend\": %s" msg
 
-let job_of_request = function
+let decode_job = function
   | Check_req { model; phi } ->
     Job.Check { model = Dtmc_io.parse model; phi = Pctl_parser.parse phi }
   | Model_repair_req { model; phi; variables; deltas; starts; backend } ->
@@ -604,6 +605,14 @@ let job_of_request = function
         groups;
         phi = Pctl_parser.parse phi;
       }
+
+(* A malformed formula and the payload checks of [Data_repair.spec]
+   (max_drop outside (0, 1), an unknown pinned group) are bad requests
+   too — here, at decode time only: the same exceptions raised while a
+   job runs are answered ["internal"]. *)
+let job_of_request jr =
+  try decode_job jr with
+  | Pctl_parser.Parse_error m | Invalid_argument m -> raise (Bad_request m)
 
 (* ---------------------------- watch codecs ------------------------- *)
 

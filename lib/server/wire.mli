@@ -33,6 +33,11 @@ exception Peer_closed of string
     re-route logic) can classify peer death as transient without string
     matching; {!err_of_exn} maps it to a transient ["unreachable"]. *)
 
+exception Bad_request of string
+(** A job payload {!job_of_request} rejects beyond the lib/io parsers: a
+    malformed PCTL formula or an invalid Data Repair spec.  {!err_of_exn}
+    maps it to a non-transient ["bad-request"]. *)
+
 (** {1 JSON}
 
     The codec itself is {!Json}; these are the names Wire's clients
@@ -145,8 +150,8 @@ type err = { kind : string; message : string; transient : bool }
 
 val err_of_exn : exn -> err
 (** Classify: {!Tml_error.Error} keeps its kind and severity; lib/io
-    parse errors become non-transient ["bad-request"]; everything else is
-    ["internal"]. *)
+    parse errors and {!Bad_request} become non-transient ["bad-request"];
+    everything else is ["internal"]. *)
 
 (** {1 Job payloads} *)
 
@@ -202,9 +207,11 @@ val kind_of_job_request : job_request -> string
 (** The {!Job.kind} string of the decoded job, without decoding. *)
 
 val job_of_request : job_request -> Job.t
-(** Decode with the lib/io parsers.  Raises the underlying parser's
-    exception on malformed payloads (the router maps it to a
-    ["bad-request"] wire error); an unknown [backend] slug is a
+(** Decode with the lib/io parsers.  Raises the underlying lib/io
+    parser's exception on a malformed model, trace or spec text, and
+    {!Bad_request} on a malformed formula or an invalid Data Repair spec
+    (the router maps each to a ["bad-request"] wire error); an unknown
+    [backend] slug is a
     {!Protocol_error}.  Data Repair and Pipeline [traces] are folded into
     per-group tallies here ({!Trace_io.parse_tallies} with [~n:states]),
     so a state out of range or a malformed tally line is rejected at

@@ -468,6 +468,26 @@ let test_submit_upgrades_foreign_entry () =
   Alcotest.(check bool) "recovered by resubmission" true
     (counter "tml_fleet_resubmits_total" > resubmits)
 
+(* A finished job the only backend has since lost (restarted with an
+   empty job table; nothing is replicated on a one-node fleet): a poll
+   through the coordinator resubmits it from the registry's payload, and
+   the wait that follows answers the byte-identical report. *)
+let test_resubmit_after_backend_lost_report () =
+  with_fleet ~nodes:1 @@ fun backends coord ->
+  let digest = submit_ok coord (check_req 0.35) in
+  let report = wait_ok coord digest in
+  restart_backend (List.hd backends);
+  let resubmits = counter "tml_fleet_resubmits_total" in
+  (match Coordinator.handle coord ~client:0 (Wire.Poll digest) with
+   | Wire.Annotated (_, Wire.Status _) | Wire.Status _ -> ()
+   | resp ->
+     Alcotest.failf "poll: unexpected response %s"
+       (Wire.render (Wire.response_to_json ~id:0 resp)));
+  Alcotest.(check string) "byte-identical report after the restart" report
+    (wait_ok coord digest);
+  Alcotest.(check int) "resubmitted once" (resubmits + 1)
+    (counter "tml_fleet_resubmits_total")
+
 (* The registry must not grow with every job ever accepted: completed
    entries are evicted FIFO past max_completed. *)
 let test_completed_registry_bounded () =
@@ -610,6 +630,8 @@ let () =
             test_submit_upgrades_foreign_entry;
           Alcotest.test_case "completed registry is bounded" `Quick
             test_completed_registry_bounded;
+          Alcotest.test_case "resubmit after the backend lost a report"
+            `Quick test_resubmit_after_backend_lost_report;
         ] );
       ( "address",
         [ Alcotest.test_case "parsing" `Quick test_addr_parsing ] );

@@ -1,26 +1,29 @@
-(* Differential tests for the multicore symbolic kernel: the parallel
-   elimination must be byte-identical to its sequential schedule (on the
-   WSN grids n=2..4, the lane-change chain, a tie-guard regression chain
-   and seeded generated chains, where elimination is also checked against
-   a per-edge reference solver), whole Model, Data and Reward Repairs must
-   give the same outcome with a pool runner installed as without one and
-   run as jobs through a 2-worker runtime as called directly, an injected
-   worker crash mid-batch must be retried — not wedge the batch — and
-   nested subtask submission must complete on a 1-worker pool. *)
+(* Differential tests for the symbolic kernel under concurrent jobs:
+   elimination run on pool worker domains, two queries at once, must be
+   byte-identical to the same elimination run directly (on the WSN grids
+   n=2..4, the lane-change chain and seeded generated chains, where
+   elimination is also checked against a per-edge reference solver), and
+   whole Model, Data and Reward Repairs must give the same outcome run as
+   jobs through a 2-worker runtime as called directly. *)
 
 (* ------------------------------ harness ------------------------------- *)
 
-(* A raw pool + runner, NOT a Runtime: Runtime.create would also install
-   the elimination memo, and a memo hit would hide a parallel/sequential
+(* [f] run as [copies] tasks submitted at once to a 2-worker pool, so the
+   copies run concurrently on two domains and share the kernel's cons
+   cache and symbol table.  A raw pool, NOT a Runtime: Runtime.create
+   would also install the elimination memo, and a memo hit would hide a
    divergence by serving both sides the same cached value. *)
-let with_pool ~workers f =
-  let pool = Pool.create ~workers () in
-  Parallel.set_runner (Some (Pool.run_subtasks pool));
+let on_pool ?(copies = 2) f =
+  let pool = Pool.create ~workers:2 () in
   Fun.protect
-    ~finally:(fun () ->
-      Parallel.set_runner None;
-      Pool.shutdown pool)
-    (fun () -> f pool)
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       List.init copies (fun _ -> Pool.submit pool f)
+       |> List.map (fun fut ->
+           match Future.await ~timeout_s:120.0 fut with
+           | Future.Value v -> v
+           | Future.Failed e -> raise e
+           | _ -> Alcotest.fail "pooled run did not complete"))
 
 (* ------------------------------ fixtures ------------------------------ *)
 
@@ -67,22 +70,23 @@ let with_saved f =
   let v = f () in
   (v, Metrics.counter_value normalize_saved - before)
 
-(* Two runs of the same query: with no runner installed (the sequential
-   schedule, one state per batch) and with a 2-worker pool runner (the
-   batched schedule across pool domains).  They must render to the same
-   string — byte-identical, not just numerically close — and add the same
-   amount to the normalize-saved counter. *)
+(* The same query run directly and as two concurrent copies on a 2-worker
+   pool.  Every copy must render to the same string as the direct run —
+   byte-identical, not just numerically close — and the copies together
+   must add twice the direct run's amount to the normalize-saved
+   counter. *)
 let check_elim_order name query (oname, order) =
-  let seq, seq_saved = with_saved (fun () -> query order) in
-  let pooled, pooled_saved =
-    with_pool ~workers:2 (fun _ -> with_saved (fun () -> query order))
-  in
-  Alcotest.(check string)
-    (Printf.sprintf "%s/%s pooled=no-runner" name oname)
-    (Ratfun.to_string seq) (Ratfun.to_string pooled);
+  let direct, direct_saved = with_saved (fun () -> query order) in
+  let pooled, pooled_saved = with_saved (fun () -> on_pool (fun () -> query order)) in
+  List.iter
+    (fun f ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s/%s pooled=direct" name oname)
+         (Ratfun.to_string direct) (Ratfun.to_string f))
+    pooled;
   Alcotest.(check int)
     (Printf.sprintf "%s/%s normalize-saved" name oname)
-    seq_saved pooled_saved
+    (2 * direct_saved) pooled_saved
 
 let check_elim_identical name query =
   List.iter (check_elim_order name query) orders
@@ -118,28 +122,6 @@ let test_elim_lane_change () =
   let pm = car_pm () in
   check_elim_identical "lane-change reach" (fun order ->
       Elimination.reachability_probability ~order pm ~target:[ 3; 4 ])
-
-(* A generated chain (shrunk) on which the batch builder's tie guard
-   matters: after the first Min_degree pick, a touched survivor's degree
-   lower bound equals the frozen argmin's degree, and the sequential
-   schedule takes the touched state on the tie-break.  Weakening the guard
-   from [<=] to [<] lets the batch take the frozen argmin instead, which
-   changes the elimination order and the normalize-saved tally. *)
-let test_elim_tie_guard () =
-  let p = Ratfun.var "p" in
-  let q = Ratfun.sub Ratfun.one p in
-  let chain =
-    Pdtmc.make ~n:10 ~init:0
-      ~transitions:
-        [ (0, 0, p); (0, 1, q); (1, 5, p); (1, 6, q);
-          (2, 2, Ratfun.one); (3, 3, Ratfun.one); (4, 4, Ratfun.one);
-          (5, 6, p); (5, 7, q); (6, 4, p); (6, 5, q); (7, 0, q); (7, 9, p);
-          (8, 8, Ratfun.one); (9, 1, p); (9, 2, q);
-        ]
-      ()
-  in
-  check_elim_identical "tie-guard chain reach" (fun order ->
-      Elimination.reachability_probability ~order chain ~target:[ 5 ])
 
 (* ---------------------- generated-chain differential ------------------- *)
 
@@ -188,10 +170,10 @@ let print_chain_case { chain; target } =
 let expect cond fmt =
   Format.kasprintf (fun msg -> if not cond then QCheck2.Test.fail_report msg) fmt
 
-(* For both queries and every order: pooled == no-runner byte for byte
-   (result and normalize-saved tally), [Ratfun.equal] to the per-edge
-   reference, and [Not_almost_sure] exactly when a reachable state has no
-   path into the target. *)
+(* For both queries and every order: a pooled run == the direct run byte
+   for byte (result and normalize-saved tally), [Ratfun.equal] to the
+   per-edge reference, and [Not_almost_sure] exactly when a reachable
+   state has no path into the target. *)
 let check_chain_case { chain; target } =
   let runs =
     List.concat_map
@@ -207,8 +189,8 @@ let check_chain_case { chain; target } =
       orders
   in
   let all () = List.map (fun (_, _, query) -> with_saved query) runs in
-  let seq = all () in
-  let pooled = with_pool ~workers:2 (fun _ -> all ()) in
+  let direct = all () in
+  let pooled = List.hd (on_pool ~copies:1 all) in
   let reference =
     [ ("reach", Some (Elim_reference.reachability_probability chain ~target));
       ( "reward",
@@ -220,7 +202,7 @@ let check_chain_case { chain; target } =
   let show = Option.fold ~none:"Not_almost_sure" ~some:Ratfun.to_string in
   List.iter2
     (fun (q, oname, _) ((f, f_saved), (g, g_saved)) ->
-       expect (show f = show g) "%s/%s: no-runner %s, pooled %s" q oname (show f)
+       expect (show f = show g) "%s/%s: direct %s, pooled %s" q oname (show f)
          (show g);
        expect (f_saved = g_saved) "%s/%s: normalize-saved %d vs %d" q oname
          f_saved g_saved;
@@ -230,7 +212,7 @@ let check_chain_case { chain; target } =
        | None, None -> ()
        | Some _, None -> expect false "%s/%s: no Not_almost_sure" q oname
        | None, Some _ -> expect false "%s/%s: spurious Not_almost_sure" q oname)
-    runs (List.combine seq pooled);
+    runs (List.combine direct pooled);
   true
 
 let test_elim_generated =
@@ -246,8 +228,7 @@ let check_outcome_identical name seq par =
   Alcotest.(check bool) name true (compare seq par = 0)
 
 (* A job run through a 2-worker runtime, as a server runs it — on a pool
-   domain, with the batched elimination and the elimination cache
-   installed — against the direct call on this domain with neither.  The
+   domain, with the elimination cache installed — against the direct call on this domain with neither.  The
    runtime keeps no reports, so every repeat really runs on the pool. *)
 let check_served_identical ~repeats name job =
   let reference = Job.run job in
@@ -289,22 +270,21 @@ let test_fallback_identical () =
               backend = Repair_backend.Nlp_solver }))
     [ 40; 19 ]
 
-(* Arena-backed problems: with a runner installed the repair's
-   elimination runs batched on pool domains, then every start and rung
-   evaluates the compiled constraint on the calling domain.  A race in the
-   shared kernel state (cons cache, symbol table, arena scratch) shows up
-   as a different outcome (a penalty-rung answer, an unverified repair, a
-   spurious Infeasible), so each check repeats the pooled solve [repeats]
-   times to give the interleaving a chance to bite: cheap solves get more
-   repeats. *)
+(* Arena-backed problems: every start and rung evaluates the compiled
+   constraint of the repair's eliminated chain.  A race in the kernel
+   state concurrent jobs share (cons cache, symbol table, arena scratch)
+   shows up as a different outcome (a penalty-rung answer, an unverified
+   repair, a spurious Infeasible), so each check runs [repeats] copies of
+   the solve at once on a 2-worker pool to give the interleaving a chance
+   to bite: cheap solves get more repeats. *)
 let check_pooled_identical ~repeats name solve =
   let reference = solve () in
-  with_pool ~workers:2 (fun _ ->
-      for i = 1 to repeats do
-        check_outcome_identical
-          (Printf.sprintf "%s pooled=sequential (run %d)" name i)
-          reference (solve ())
-      done)
+  List.iteri
+    (fun i o ->
+       check_outcome_identical
+         (Printf.sprintf "%s pooled=direct (run %d)" name (i + 1))
+         reference o)
+    (on_pool ~copies:repeats solve)
 
 let test_model_repair_identical () =
   let p = Wsn.default_params in
@@ -334,93 +314,6 @@ let test_reward_repair_identical () =
        { mdp = Car.mdp (); theta = Car.paper_learned_theta;
          constraints = [ Car.unsafe_q_constraint ]; gamma = 0.9 })
 
-(* ------------------------------- chaos -------------------------------- *)
-
-(* A [Fault.Subtask] raise kills the first pool worker that probes the
-   batch.  The batch must still complete (caller-drain), every task must
-   run exactly once, and the pool must respawn the dead worker. *)
-let test_subtask_crash_retried () =
-  with_pool ~workers:2 (fun pool ->
-      Fault.install
-        (Some (Fault.plan [ Fault.spec Fault.Subtask Fault.Raise ]));
-      Fun.protect ~finally:(fun () -> Fault.install None) (fun () ->
-          let n = 16 in
-          let hits = Array.make n 0 in
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let tasks =
-            Array.init n (fun i () ->
-                (* the first claimed task spins until the injected crash
-                   has fired, so a pool worker reliably reaches the probe
-                   before the batch is drained out from under it *)
-                if i = 0 then
-                  while
-                    Fault.fired_at Fault.Subtask = 0
-                    && Unix.gettimeofday () < deadline
-                  do
-                    Domain.cpu_relax ()
-                  done;
-                hits.(i) <- hits.(i) + 1)
-          in
-          Pool.run_subtasks pool tasks;
-          Alcotest.(check int) "crash fired once" 1
-            (Fault.fired_at Fault.Subtask);
-          Array.iteri
-            (fun i h ->
-               Alcotest.(check int) (Printf.sprintf "task %d ran once" i) 1 h)
-            hits;
-          let rec await_respawn tries =
-            if Pool.respawns pool >= 1 || tries = 0 then ()
-            else begin
-              Unix.sleepf 0.01;
-              await_respawn (tries - 1)
-            end
-          in
-          await_respawn 500;
-          Alcotest.(check bool) "worker respawned" true
-            (Pool.respawns pool >= 1));
-      (* capacity restored: the pool still drains batches afterwards *)
-      let c = Atomic.make 0 in
-      Pool.run_subtasks pool (Array.init 8 (fun _ () -> Atomic.incr c));
-      Alcotest.(check int) "post-crash batch completes" 8 (Atomic.get c))
-
-(* ------------------------------- pool --------------------------------- *)
-
-(* A job running ON the single worker fans out nested batches; the
-   caller-drain design means the worker drains its own submissions, so
-   this must complete rather than deadlock. *)
-let test_nested_submit_one_worker () =
-  with_pool ~workers:1 (fun pool ->
-      let fut =
-        Pool.submit pool (fun () ->
-            let outer = Array.make 4 0 in
-            Parallel.run
-              (Array.init 4 (fun i () ->
-                   let inner = Array.make 3 0 in
-                   Parallel.run
-                     (Array.init 3 (fun j () ->
-                          inner.(j) <- (10 * (i + 1)) + j));
-                   outer.(i) <- Array.fold_left ( + ) 0 inner));
-            outer)
-      in
-      match Future.await ~timeout_s:30.0 fut with
-      | Future.Value v ->
-        Alcotest.(check (array int)) "nested fan-out result"
-          [| 33; 63; 93; 123 |] v
-      | _ -> Alcotest.fail "nested submit did not complete on 1 worker")
-
-let test_lowest_index_exception () =
-  let module E = struct
-    exception Boom of int
-  end in
-  with_pool ~workers:2 (fun _ ->
-      match
-        Parallel.run
-          (Array.init 8 (fun i () -> if i = 2 || i = 5 then raise (E.Boom i)))
-      with
-      | () -> Alcotest.fail "batch with failing tasks returned"
-      | exception E.Boom i ->
-        Alcotest.(check int) "lowest-indexed exception wins" 2 i)
-
 let () =
   Alcotest.run "parallel"
     [ ( "elimination differential",
@@ -431,7 +324,6 @@ let () =
             test_elim_wsn_reward;
           Alcotest.test_case "lane-change reachability" `Quick
             test_elim_lane_change;
-          Alcotest.test_case "tie-guard chain" `Quick test_elim_tie_guard;
           test_elim_generated;
         ] );
       ( "nlp differential",
@@ -441,15 +333,5 @@ let () =
           Alcotest.test_case "wsn data repair" `Quick test_data_repair_identical;
           Alcotest.test_case "car reward repair" `Quick
             test_reward_repair_identical;
-        ] );
-      ( "chaos",
-        [ Alcotest.test_case "subtask crash retried" `Quick
-            test_subtask_crash_retried;
-        ] );
-      ( "pool",
-        [ Alcotest.test_case "nested submit, 1 worker" `Quick
-            test_nested_submit_one_worker;
-          Alcotest.test_case "lowest-index exception" `Quick
-            test_lowest_index_exception;
         ] );
     ]

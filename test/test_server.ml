@@ -526,6 +526,60 @@ let test_bad_traces_rejected_at_submit () =
   | Wire.Job_done _ -> ()
   | _ -> Alcotest.fail "the valid submit runs to completion"
 
+(* A malformed formula and an invalid Data Repair spec (max_drop outside
+   (0, 1), an unknown pinned group) are bad requests, rejected at submit
+   like a malformed model — sent straight to a server and through a
+   coordinator fronting it. *)
+let test_bad_payloads_rejected_at_submit () =
+  with_server @@ fun addr _server _router ->
+  let coord =
+    Coordinator.create ~probe_interval_s:10.0 ~rpc_timeout_s:5.0
+      ~drain_timeout_s:10.0 [ addr ]
+  in
+  let coord_path = fresh_sock () in
+  let coord_server =
+    Server.start ~read_timeout_s:0.25 ~write_timeout_s:2.0
+      ~drain_timeout_s:10.0 ~handler:(Coordinator.handler coord)
+      (`Unix coord_path)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop coord_server;
+      Coordinator.shutdown coord)
+  @@ fun () ->
+  let data ~max_drop ~pinned =
+    Wire.Data_repair_req
+      {
+        states = 3;
+        init = 0;
+        labels = [ ("goal", [ 1 ]) ];
+        rewards = None;
+        phi = "P>=0.5 [ F goal ]";
+        traces = "0 1\n0 2\n";
+        max_drop;
+        pinned;
+        starts = 1;
+        backend = "nlp";
+      }
+  in
+  let bad =
+    [ ( "unclosed formula",
+        Wire.Check_req { model = model_text; phi = "P>=0.2 [ F goal" } );
+      ("max_drop outside (0, 1)", data ~max_drop:1.5 ~pinned:[]);
+      ("unknown pinned group", data ~max_drop:0.9 ~pinned:[ "nope" ]);
+    ]
+  in
+  List.iter
+    (fun (via, a) ->
+       Client.with_client a @@ fun c ->
+       List.iter
+         (fun (what, jr) ->
+            expect_remote_error ~kind:"bad-request" ~transient:false
+              (Printf.sprintf "%s, %s" what via)
+              (fun () -> Client.submit c jr))
+         bad)
+    [ ("straight", addr); ("through a coordinator", `Unix coord_path) ]
+
 let test_wait_timeout_and_cancel () =
   with_delay_faults ~fires:4 ~delay:0.4 @@ fun () ->
   with_server ~workers:1 @@ fun addr _server _router ->
@@ -1431,6 +1485,8 @@ let () =
             test_submit_wait_poll_cancel;
           Alcotest.test_case "bad trace data rejected at submit" `Quick
             test_bad_traces_rejected_at_submit;
+          Alcotest.test_case "bad formula and spec rejected at submit" `Quick
+            test_bad_payloads_rejected_at_submit;
           Alcotest.test_case "wait timeout and cancel" `Quick
             test_wait_timeout_and_cancel;
           Alcotest.test_case "admission sheds overloaded" `Quick
